@@ -22,6 +22,7 @@ from .params import (
     MechanicalParams,
     SystemParams,
     ZetaModel,
+    c_light,
 )
 from .synth import SynthConfig
 
@@ -132,8 +133,6 @@ class RunConfig:
         )
         kappa1 = TWO_PI * g("system", "kappa1_hz")
         kappa2 = TWO_PI * g("system", "kappa2_hz")
-        from scipy.constants import c as c_light
-
         cavity = CavityParams(
             kappa1=kappa1,
             kappa2=kappa2,

@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     ConfigError,
@@ -408,7 +407,10 @@ def band_average(
     # independent-bin averaging shrinks the error by sqrt(bins)
     stderr = np.sqrt(np.convolve(est.stderr**2, kernel**2, mode="same")) / overlap
     out = replace(est, values=values, stderr=stderr)
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    from scipy.special import ndtri
+
+    # ndtri is the standard-normal quantile, bit-identical to stats.norm.ppf
+    z = ndtri(0.5 + confidence / 2.0)
     out.belt_lo = values - z * stderr
     out.belt_hi = values + z * stderr
     out.band_width_hz = n_bins * df

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConfigError, DegenerateTarget, NonConvergence
 from .params import SystemParams
@@ -89,6 +88,8 @@ def fit(problem: FitProblem) -> FitResult:
     curvature of the loss at the optimum; a pair of near-equal optima
     separated by more than that proxy raises the degeneracy flag.
     """
+    from scipy import optimize
+
     f = np.asarray(problem.frequencies, dtype=float)
     sel = (f >= problem.band[0]) & (f <= problem.band[1])
     if not sel.any():

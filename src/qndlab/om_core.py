@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.optimize import brentq
 
 from .errors import DivergentSusceptibility, DomainError, NonConvergence
 from .params import (
@@ -22,6 +20,7 @@ from .params import (
     DriveParams,
     MechanicalParams,
     SystemParams,
+    hbar,
 )
 
 # Relative floor on the susceptibility bracket before declaring instability.
@@ -246,6 +245,8 @@ def lock_phase_for_signal_phase(
 
         _, _, phi_s = quadrature_phases(state, cavity, replace(det, phi0=phi0))
         return phi_s - phi_s_target
+
+    from scipy.optimize import brentq
 
     return brentq(offset_of, -np.pi / 2 + 1e-9, np.pi / 2 - 1e-9, xtol=1e-14)
 

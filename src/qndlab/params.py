@@ -10,13 +10,15 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.constants import c as c_light
-from scipy.constants import hbar
-from scipy.constants import k as k_boltzmann
 
 from .errors import ConfigError, NonConvergence
 
 TWO_PI = 2.0 * np.pi
+
+# exact SI (2019) values, equal to scipy.constants.c, hbar and k
+c_light = 299_792_458.0
+hbar = 6.62607015e-34 / TWO_PI
+k_boltzmann = 1.380649e-23
 
 
 def thermal_occupancy(omega: float, temperature: float) -> float:

@@ -135,7 +135,11 @@ def _draw(rng, m):
 
 
 def _segment(system, cfg, tables, psd, rng):
-    """One segment of (sum, difference, meter, zeta-part-of-meter)."""
+    """One segment of (sum, difference, meter, zeta-part-of-meter).
+
+    The zeta part feeds only the quadratic nonlinearity; it is None when
+    ``cfg.nonlinearity_lambda`` is 0.
+    """
     length = cfg.segment_length
     m = length // 2 + 1
     root = np.sqrt(length / 2.0)
@@ -163,7 +167,7 @@ def _segment(system, cfg, tables, psd, rng):
         f[-1] = f[-1].real
     x_sum = np.fft.irfft(f_s, n=length)
     y_m = np.fft.irfft(f_m, n=length)
-    z_m = np.fft.irfft(f_zm, n=length)
+    z_m = np.fft.irfft(f_zm, n=length) if cfg.nonlinearity_lambda != 0.0 else None
     x_diff = np.fft.irfft(f_d, n=length)
     return x_sum, x_diff, y_m, z_m
 
@@ -280,13 +284,14 @@ def read_dataset(path) -> DataSet:
             raise FormatError(f"missing header keys {missing}")
         n_total = int(header["segment_length"]) * int(header["n_segments"])
         expected = 3 * n_total * 8
-        payload = fh.read()
-    if len(payload) != expected:
-        raise FormatError(
-            f"truncated or padded payload: expected {expected} bytes, "
-            f"got {len(payload)}"
-        )
-    data = np.frombuffer(payload, dtype="<f8")
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != expected:
+            raise FormatError(
+                f"truncated or padded payload: expected {expected} bytes, "
+                f"got {payload}"
+            )
+        # one read into one array; the channels are views of it
+        data = np.fromfile(fh, dtype="<f8", count=3 * n_total)
     cfg = SynthConfig(
         sample_rate=float(header["sample_rate_hz"]),
         segment_length=int(header["segment_length"]),
@@ -294,9 +299,9 @@ def read_dataset(path) -> DataSet:
         seed=int(header["seed"]),
     )
     return DataSet(
-        sum=data[:n_total].copy(),
-        difference=data[n_total : 2 * n_total].copy(),
-        meter=data[2 * n_total :].copy(),
+        sum=data[:n_total],
+        difference=data[n_total : 2 * n_total],
+        meter=data[2 * n_total :],
         config=cfg,
         config_hash=header["config_hash"],
         provenance=f"read:{os.fspath(path)}",

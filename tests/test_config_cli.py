@@ -1,6 +1,10 @@
 """Run configuration parsing and the command-line entry point."""
 
 import csv
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,3 +176,64 @@ class TestCliErrorFamilies:
 
     def test_bad_workers_exit_2(self, tmp_path):
         assert cli.main(["theory", "--out", str(tmp_path), "--workers", "0"]) == 2
+
+
+# Runs `python -m qndlab.cli` (runpy is what -m uses) for synth and then
+# estimate in one fresh interpreter; prints exit codes and scipy modules.
+_ENTRY_PROBE = """
+import json, runpy, sys
+
+def run(argv):
+    sys.argv = ["qndlab"] + argv
+    try:
+        runpy.run_module("qndlab.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        return exc.code
+
+out, cfg = sys.argv[1], sys.argv[2]
+codes = [
+    run(["synth", "--config", cfg, "--out", out]),
+    run(["estimate", out + "/dataset.qnd", "--config", cfg, "--out", out]),
+]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports qndlab from this package's tree."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(q.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        loaded = _fresh_python(
+            "-c",
+            "import json, sys, qndlab, qndlab.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+        )
+        assert loaded == []
+
+    def test_synth_and_estimate_skip_stats_and_optimize(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "[synth]\nsegment_length = 8192\nn_segments = 8\n"
+            "[estimate]\nband_average_hz = 1300.0\n"
+        )
+        got = _fresh_python("-c", _ENTRY_PROBE, str(tmp_path), str(cfg))
+        assert got["codes"] == [0, 0]
+        assert (tmp_path / "dataset.qnd").exists()
+        assert (tmp_path / "residual_banded.csv").exists()
+        heavy = [m for m in got["scipy"]
+                 if m.startswith(("scipy.stats", "scipy.optimize"))]
+        assert heavy == []

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import qndlab as q
 from qndlab import estimation
@@ -361,6 +362,12 @@ class TestBandAverage:
                                    rtol=1e-9)
         np.testing.assert_allclose(out.values - out.belt_lo, z * out.stderr,
                                    rtol=1e-9)
+        # the belt uses scipy's normal quantile to the last bit
+        for confidence in (0.68, 0.9, 0.95, 0.99):
+            out = q.band_average(est, 100.0, confidence=confidence)
+            z = stats.norm.ppf(0.5 + confidence / 2.0)
+            assert np.array_equal(out.belt_hi, out.values + z * out.stderr)
+            assert np.array_equal(out.belt_lo, out.values - z * out.stderr)
 
     def test_band_narrower_than_grid(self):
         f = np.arange(0.0, 1e4, 100.0)

@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import constants
 
 import qndlab as q
+from qndlab import params
 from qndlab.errors import ConfigError
 
 
@@ -46,6 +48,11 @@ class TestDerivedQuantities:
             / (hbar * system.cavity.omega_laser),
             rel=1e-12,
         )
+
+    def test_si_constants_match_scipy(self):
+        assert params.c_light == constants.c
+        assert params.hbar == constants.hbar
+        assert params.k_boltzmann == constants.k
 
     def test_effective_drive_mode_matching(self, system):
         assert system.effective_drive().power == pytest.approx(

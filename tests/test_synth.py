@@ -124,6 +124,8 @@ class TestDatasetIO:
         assert np.array_equal(back.difference, small_dataset.difference)
         assert np.array_equal(back.meter, small_dataset.meter)
         assert back.config_hash == small_dataset.config_hash
+        for name in ("sum", "difference", "meter"):
+            assert back.channel(name).flags.writeable
 
     def test_truncated_file_names_byte_counts(self, small_dataset, tmp_path):
         path = tmp_path / "ds.qnd"
@@ -131,6 +133,14 @@ class TestDatasetIO:
         raw = path.read_bytes()
         path.write_bytes(raw[:-1000])
         with pytest.raises(FormatError, match=r"expected \d+ bytes"):
+            q.read_dataset(path)
+
+    def test_padded_file_names_byte_counts(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.qnd"
+        q.write_dataset(small_dataset, path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(FormatError, match=r"expected \d+ bytes, got \d+"):
             q.read_dataset(path)
 
     def test_bad_magic(self, tmp_path):
