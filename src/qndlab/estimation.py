@@ -10,6 +10,7 @@ expectation at or above the true optimal residual.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -388,6 +389,70 @@ def subtract_electronic_noise(
     return out
 
 
+# Cephes ndtri (S. L. Moshier), the algorithm of scipy.special.ndtri, with
+# the same operations in the same order so the result is bit-identical.
+# In pure Python it spares band_average, and with it `qndlab estimate`,
+# the import of scipy.special: about 290 modules and a second OpenBLAS
+# with its own worker thread, loaded in the middle of a run.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+# |p - 0.5| <= 3/8
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+# tails with sqrt(-2 log p) in [2, 8)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# tails with sqrt(-2 log p) >= 8
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: float, coef: tuple, monic: bool = False) -> float:
+    """Polynomial in x, highest power first; ``monic`` adds a leading 1."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard-normal quantile for 0 < p < 1, equal to ``ndtri(p)``."""
+    if not 0.0 < p < 1.0:
+        raise ConfigError(f"normal quantile needs 0 < p < 1, got {p!r}")
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, True))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p_coef, q_coef = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x0 - z * _horner(z, p_coef) / _horner(z, q_coef, True)
+    return x if upper else -x
+
+
 def band_average(
     est: SpectrumEstimate, band_width_hz: float, confidence: float = 0.9
 ) -> SpectrumEstimate:
@@ -407,10 +472,7 @@ def band_average(
     # independent-bin averaging shrinks the error by sqrt(bins)
     stderr = np.sqrt(np.convolve(est.stderr**2, kernel**2, mode="same")) / overlap
     out = replace(est, values=values, stderr=stderr)
-    from scipy.special import ndtri
-
-    # ndtri is the standard-normal quantile, bit-identical to stats.norm.ppf
-    z = ndtri(0.5 + confidence / 2.0)
+    z = _normal_quantile(0.5 + confidence / 2.0)
     out.belt_lo = values - z * stderr
     out.belt_hi = values + z * stderr
     out.band_width_hz = n_bins * df

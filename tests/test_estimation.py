@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import qndlab as q
 from qndlab import estimation
@@ -368,6 +368,28 @@ class TestBandAverage:
             z = stats.norm.ppf(0.5 + confidence / 2.0)
             assert np.array_equal(out.belt_hi, out.values + z * out.stderr)
             assert np.array_equal(out.belt_lo, out.values - z * out.stderr)
+
+    def test_normal_quantile_matches_ndtri(self):
+        # every branch: the central third, both tails with sqrt(-2 log p)
+        # below and above 8, and the points next to the branch edges
+        rng = np.random.default_rng(5)
+        edge = np.exp(-2.0)
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, 2000),
+            10.0 ** rng.uniform(-300.0, 0.0, 1000),
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 1000),
+            np.nextafter(edge, [0.0, 1.0]),
+            np.nextafter(1.0 - edge, [0.0, 1.0]),
+            [np.exp(-32.0), 0.5, 5e-324, np.nextafter(1.0, 0.0)],
+        ])
+        p = p[(p > 0.0) & (p < 1.0)]
+        got = np.array([estimation._normal_quantile(float(v)) for v in p])
+        assert np.array_equal(got, special.ndtri(p))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_normal_quantile_outside_unit_interval(self, p):
+        with pytest.raises(ConfigError):
+            estimation._normal_quantile(p)
 
     def test_band_narrower_than_grid(self):
         f = np.arange(0.0, 1e4, 100.0)
