@@ -18,28 +18,18 @@ cfg = q.SynthConfig(segment_length=2**17, n_segments=48, seed=7)
 dataset = q.synthesize(system, cfg)
 print(f"synthesized {cfg.n_segments} segments of {cfg.segment_length} samples")
 
-segments = q.transform(q.segment_and_select(dataset), band=(120e3, 220e3))
-print(f"kept {segments.n_kept} segments after spike/rms selection")
+# the CLI's analysis chain at its defaults, with the band starting at 120 kHz
+analysis = q.analyze(dataset, q.load_config(text="[estimate]\nband_lo_hz = 120e3\n"))
+print(f"kept {analysis.seg.n_kept} segments after spike/rms selection")
+print(f"calibrated SQL: {analysis.sql:.4f} "
+      f"(slope {analysis.calibration['slope_per_hz']:.2e}/Hz)")
 
-residual = q.residual_single(segments, "sum", "meter")
-
-level = cfg.electronic_noise_level
-electronic = q.SpectrumEstimate(residual.frequencies,
-                                np.full_like(residual.values, level),
-                                np.full_like(residual.values, 0.1 * level),
-                                residual.n_averages)
-residual = q.subtract_electronic_noise(residual, electronic)
-
-difference = q.subtract_electronic_noise(
-    q.power_spectrum(segments, "difference"), electronic)
-sql, report = q.shot_calibration(difference)
-print(f"calibrated SQL: {sql:.4f} (slope {report['slope_per_hz']:.2e}/Hz)")
-
-banded = q.band_average(residual.normalized_by(sql), 150.0)
+residual = q.residual_single(analysis.seg, "sum", "meter")
+banded = q.band_average(analysis.normalized(residual), 150.0)
 i = np.argmin(banded.values)
 print(f"banded residual minimum: {banded.values[i]:.3f} +- {banded.stderr[i]:.3f} "
       f"at {banded.frequencies[i]:.0f} Hz")
 
-diag = q.split_consistency(q.residual_single(segments, "sum", "meter"))
+diag = q.split_consistency(residual)
 print(f"split-half diagnostic: mean {diag.mean:+.3f} +- {diag.mean_stderr:.3f}, "
       f"sd {diag.sd:.2f}")

@@ -53,7 +53,6 @@ from .theory import (
     default_omega_grid,
     displacement_spectrum,
     fixed_phase_output_spectrum,
-    full_output_cross_spectra,
     min_quadrature_spectrum,
     noise_budget,
     readout_noise_spectrum,
@@ -80,5 +79,6 @@ from .estimation import (
 )
 from .fitting import FitProblem, FitResult, fit
 from .config import RunConfig, default_config_text, load_config
+from .pipeline import Analysis, analyze
 
 __version__ = "0.1.0"

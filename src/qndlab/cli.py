@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import (
     SingularCrossMatrix,
     TooFewSegments,
 )
+from .pipeline import analyze
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -157,58 +157,33 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _estimate_pipeline(cfg: RunConfig, args, ds):
-    """Shared selection/transform/calibration steps; returns a dict."""
-    seg = estimation.segment_and_select(
-        ds,
-        peak_limit=cfg.get_float("estimate", "peak_limit"),
-        rms_limit=cfg.get_float("estimate", "rms_limit"),
-    )
-    band = (
-        cfg.get_float("estimate", "band_lo_hz"),
-        cfg.get_float("estimate", "band_hi_hz"),
-    )
-    seg = estimation.transform(seg, window=cfg.get("estimate", "window"), band=band)
-    p_diff = estimation.power_spectrum(seg, "difference")
-    elec_level = cfg.get_float("synth", "electronic_noise_level")
-    elec = estimation.SpectrumEstimate(
-        frequencies=seg.frequencies,
-        values=np.full_like(seg.frequencies, elec_level),
-        # the stated reproducibility of the electronic-noise reference
-        stderr=np.full_like(seg.frequencies, 0.1 * elec_level),
-        n_averages=seg.n_kept,
-    )
-    p_diff = estimation.subtract_electronic_noise(p_diff, elec)
-    sql, cal_report = estimation.shot_calibration(
-        p_diff, analysis_freq=cfg.get_float("estimate", "analysis_freq_hz")
-    )
-    return {"seg": seg, "elec": elec, "sql": sql, "cal": cal_report}
-
-
 def cmd_estimate(cfg: RunConfig, args) -> int:
-    ds = synth.read_dataset(args.dataset)
-    stage = _estimate_pipeline(cfg, args, ds)
-    seg, elec, sql = stage["seg"], stage["elec"], stage["sql"]
-    channels = [c.strip() for c in args.channels.split(",") if c.strip()]
-    p_sum = estimation.subtract_electronic_noise(
-        estimation.power_spectrum(seg, "sum"), elec
-    ).normalized_by(sql)
-    if channels == ["meter"]:
-        res = estimation.residual_single(seg)
-    elif channels == ["meter", "meter_squared"]:
-        res = estimation.residual_two_channel(seg)
-    else:
+    channels = tuple(c.strip() for c in args.channels.split(",") if c.strip())
+    residual = {
+        ("meter",): estimation.residual_single,
+        ("meter", "meter_squared"): estimation.residual_two_channel,
+    }.get(channels)
+    if residual is None:
         raise ConfigError(
             f"--channels must be 'meter' or 'meter,meter_squared', got {args.channels!r}"
         )
-    res_n = estimation.subtract_electronic_noise(res, elec).normalized_by(sql)
+    analysis = analyze(synth.read_dataset(args.dataset), cfg)
+    seg = analysis.seg
+    res = residual(seg)
+    res_n = analysis.normalized(res)
     msc = estimation.msc_estimate(seg)
-    width = args.band_hz or cfg.get_float("estimate", "band_average_hz")
+    width = (
+        args.band_hz
+        if args.band_hz is not None
+        else cfg.get_float("estimate", "band_average_hz")
+    )
     confidence = cfg.get_float("estimate", "confidence")
     banded = estimation.band_average(res_n, width, confidence)
     diag = estimation.split_consistency(res)
     out = args.out
-    estimation.write_spectrum_csv(p_sum, os.path.join(out, "spectrum_sum.csv"))
+    estimation.write_spectrum_csv(
+        analysis.spectrum_sum, os.path.join(out, "spectrum_sum.csv")
+    )
     estimation.write_spectrum_csv(res_n, os.path.join(out, "residual.csv"))
     estimation.write_spectrum_csv(banded, os.path.join(out, "residual_banded.csv"))
     estimation.write_spectrum_csv(msc, os.path.join(out, "msc.csv"))
@@ -224,8 +199,9 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         "estimation report",
         "-----------------",
         f"segments kept: {seg.n_kept}/{len(seg.kept_mask)} "
-        f"({stage['seg'].kept_fraction:.1%})",
-        f"SQL reference: {sql:.6g} (stderr {stage['cal']['stderr']:.3g})",
+        f"({seg.kept_fraction:.1%})",
+        f"SQL reference: {analysis.sql:.6g} "
+        f"(stderr {analysis.calibration['stderr']:.3g})",
         f"channels: {','.join(channels)}",
         f"banded residual minimum: {banded.values[imin]:.4f} "
         f"+- {banded.stderr[imin]:.4f} at {f[imin]:.0f} Hz "
@@ -240,12 +216,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
-    ds = synth.read_dataset(args.dataset)
-    stage = _estimate_pipeline(cfg, args, ds)
-    seg, elec, sql = stage["seg"], stage["elec"], stage["sql"]
-    p_sum = estimation.subtract_electronic_noise(
-        estimation.power_spectrum(seg, "sum"), elec
-    ).normalized_by(sql)
+    p_sum = analyze(synth.read_dataset(args.dataset), cfg).spectrum_sum
     system = cfg.system()
     problem = fitting.FitProblem(
         system=system,
@@ -290,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="configuration file")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="run seed override")
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallelism bound (outputs are worker invariant)")
     common.add_argument("--vacuum-only", action="store_true",
                         help="switch off drive and classical noises")
     sub.add_parser("theory", parents=[common])
@@ -328,8 +297,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = load_config(path=args.config) if args.config else load_config(text="")
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args)
     except Exception as exc:  # map to documented exit families

@@ -74,7 +74,6 @@ DEFAULTS = {
         "band_hi_hz": "220e3",
         "band_average_hz": "150.0",
         "confidence": "0.9",
-        "channels": "meter",
         "analysis_freq_hz": "170e3",
     },
     "fit": {
@@ -91,8 +90,6 @@ DEFAULTS = {
     },
     "run": {
         "seed": "0",
-        "out_dir": ".",
-        "workers": "1",
     },
 }
 

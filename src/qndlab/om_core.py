@@ -106,9 +106,7 @@ def steady_state(
         raise DomainError("either detuning or detuning0 must be set")
 
     g = g0 * np.sqrt(2.0) * alpha_s
-    return CouplingState(
-        g0=g0, g=g, alpha_s=alpha_s, q_s=q_s, p_s=0.0, detuning=delta
-    )
+    return CouplingState(g0=g0, g=g, alpha_s=alpha_s, q_s=q_s, detuning=delta)
 
 
 def effective_susceptibility(

@@ -181,31 +181,11 @@ class CouplingState:
     g: complex
     alpha_s: complex
     q_s: float
-    p_s: float
     detuning: float
 
     @property
     def n_cavity(self) -> float:
         return abs(self.alpha_s) ** 2
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """A complex quantity sampled on a strictly increasing frequency grid."""
-
-    frequencies: np.ndarray
-    values: np.ndarray
-    meaning: str = ""
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        v = np.asarray(self.values)
-        if f.ndim != 1 or np.any(np.diff(f) <= 0):
-            raise ConfigError("frequencies must be a strictly increasing 1-d grid")
-        if v.shape != f.shape or not np.all(np.isfinite(v)):
-            raise ConfigError("values must be finite and match the grid")
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)

@@ -256,27 +256,6 @@ class SpectrumModel:
         return total
 
 
-def full_output_cross_spectra(
-    system: SystemParams, omega, phi_s=None, phi_m=None, sources=ALL_SOURCES
-):
-    """S_XsXs, S_YmYm and S_XsYm on the grid, in SQL units.
-
-    Returns a dict with keys "s_xs", "s_ym", "s_xy", "frequencies" plus the
-    phases actually used.
-    """
-    model = SpectrumModel(system, omega)
-    phi_s = model.phi_s if phi_s is None else phi_s
-    phi_m = model.phi_m if phi_m is None else phi_m
-    return {
-        "frequencies": model.omega,
-        "phi_s": phi_s,
-        "phi_m": phi_m,
-        "s_xs": model.quadrature_spectrum("signal", phi_s, sources),
-        "s_ym": model.quadrature_spectrum("meter", phi_m, sources),
-        "s_xy": model.cross_spectrum(phi_s, phi_m, sources),
-    }
-
-
 def coherence(s_xx, s_yy, s_xy):
     """Magnitude-squared coherence |S_xy|^2/(S_xx*S_yy)."""
     s_xx = np.asarray(s_xx, dtype=float)

@@ -7,6 +7,7 @@ synthetic datasets are session-scoped fixtures shared between criteria.
 
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,11 +28,6 @@ SEED_NONLINEAR = 600
 def _verdict(n, ok, detail):
     print(f"\nCRITERION {n}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {n}: {detail}"
-
-
-def _elec(freqs, n_avg, level, rel=0.1):
-    return q.SpectrumEstimate(freqs, np.full_like(freqs, level),
-                              np.full_like(freqs, rel * level), n_avg)
 
 
 def _lobes(mask, f):
@@ -73,40 +69,30 @@ def squeeze_system(system):
                    signal_phase=-41.5e-3)
 
 
-class _Pipeline:
-    """Shared end-to-end analysis of one synthetic dataset."""
-
-    def __init__(self, sys_params, cfg, two_channel=False):
-        ds = q.synthesize(sys_params, cfg)
-        self.seg = q.transform(q.segment_and_select(ds), band=(100e3, 220e3))
-        self.n = self.seg.n_kept
-        level = cfg.electronic_noise_level
-        f = self.seg.frequencies
-        res = q.residual_single(self.seg, "sum", "meter")
-        self.res_raw = res
-        res = q.subtract_electronic_noise(res, _elec(f, self.n, level))
-        diff = q.subtract_electronic_noise(
-            q.power_spectrum(self.seg, "difference"), _elec(f, self.n, level))
-        self.sql, self.sql_report = q.shot_calibration(diff)
-        self.res_banded = q.band_average(res.normalized_by(self.sql), 150.0)
-        s_sum = q.subtract_electronic_noise(
-            q.power_spectrum(self.seg, "sum"), _elec(f, self.n, level))
-        self.sum_banded = q.band_average(s_sum.normalized_by(self.sql), 150.0)
-        if two_channel:
-            res2 = q.residual_two_channel(self.seg, "sum", "meter", "meter_squared")
-            res2 = q.subtract_electronic_noise(res2, _elec(f, self.n, level))
-            self.res2_banded = q.band_average(res2.normalized_by(self.sql), 150.0)
+def _analyzed_run(sys_params, seed, two_channel=False):
+    """The shared analysis of one synthetic dataset, banded at 150 Hz."""
+    a = q.analyze(q.synthesize(sys_params, q.SynthConfig(seed=seed)),
+                  q.load_config(text=""))
+    res_raw = q.residual_single(a.seg, "sum", "meter")
+    run = SimpleNamespace(
+        n=a.seg.n_kept, sql=a.sql, res_raw=res_raw,
+        res_banded=q.band_average(a.normalized(res_raw), 150.0),
+        sum_banded=q.band_average(a.spectrum_sum, 150.0),
+    )
+    if two_channel:
+        res2 = q.residual_two_channel(a.seg, "sum", "meter", "meter_squared")
+        run.res2_banded = q.band_average(a.normalized(res2), 150.0)
+    return run
 
 
 @pytest.fixture(scope="module")
 def main_run(system):
-    return _Pipeline(system, q.SynthConfig(seed=SEED_MAIN))
+    return _analyzed_run(system, SEED_MAIN)
 
 
 @pytest.fixture(scope="module")
 def squeeze_run(squeeze_system):
-    return _Pipeline(squeeze_system, q.SynthConfig(seed=SEED_SQUEEZE),
-                     two_channel=True)
+    return _analyzed_run(squeeze_system, SEED_SQUEEZE, two_channel=True)
 
 
 def test_criterion_1_sql_normalization(system):

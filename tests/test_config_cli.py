@@ -174,8 +174,36 @@ class TestCliErrorFamilies:
                        "--out", str(tmp_path)])
         assert rc == 4
 
-    def test_bad_workers_exit_2(self, tmp_path):
-        assert cli.main(["theory", "--out", str(tmp_path), "--workers", "0"]) == 2
+    def test_workers_flag_unknown(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theory", "--out", str(tmp_path), "--workers", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("estimate", "channels", "meter,meter_squared"),
+        ("run", "out_dir", "."),
+        ("run", "workers", "1"),
+    ])
+    def test_removed_config_key_exit_2(self, tmp_path, section, key, value):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert cli.main(["theory", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 2
+
+    def test_bad_channels_rejected_before_reading(self, tmp_path):
+        rc = cli.main(["estimate", str(tmp_path / "absent.qnd"),
+                       "--channels", "bogus", "--out", str(tmp_path)])
+        assert rc == 2
+
+    def test_zero_band_width_exit_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        assert cli.main(["synth", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+        rc = cli.main(["estimate", str(tmp_path / "dataset.qnd"), "--band-hz", "0",
+                       "--config", str(cfg), "--out", str(tmp_path / "est")])
+        assert rc == 2
+        assert not (tmp_path / "est" / "report.txt").exists()
 
 
 # Runs `python -m qndlab.cli` (runpy is what -m uses) for synth and then

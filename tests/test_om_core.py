@@ -59,7 +59,6 @@ class TestSteadyState:
 
     def test_invariants(self, system):
         st = _state(system)
-        assert st.p_s == 0.0
         assert st.q_s == pytest.approx(
             (st.g0 / system.mech.omega_m) * abs(st.alpha_s) ** 2, rel=1e-12
         )
@@ -204,7 +203,7 @@ class TestTransferCoefficients:
         cavity = q.CavityParams(
             kappa1=1e6, kappa2=0.0, length=1e-3, omega_laser=1.77e15, detuning=0.0
         )
-        st = q.CouplingState(g0=-1.0, g=0.0, alpha_s=1.0, q_s=0.0, p_s=0.0, detuning=0.0)
+        st = q.CouplingState(g0=-1.0, g=0.0, alpha_s=1.0, q_s=0.0, detuning=0.0)
         w = np.linspace(-3e6, 3e6, 31)
         nu = q.transfer_coefficients(st, cavity, mech, w)
         expect = (cavity.kappa + 1j * w) / (cavity.kappa - 1j * w)
@@ -273,7 +272,7 @@ class TestMeanReflectedField:
             kappa1=1e6, kappa2=0.0, length=1e-3, omega_laser=1.77e15, detuning=0.0
         )
         drive = q.DriveParams(power=1e-3)
-        st = q.CouplingState(g0=0.0, g=0.0, alpha_s=1.0, q_s=0.0, p_s=0.0, detuning=0.0)
+        st = q.CouplingState(g0=0.0, g=0.0, alpha_s=1.0, q_s=0.0, detuning=0.0)
         e_r = q.mean_reflected_field(st, cavity, drive)
         assert e_r == pytest.approx(np.sqrt(drive.power / (HBAR * cavity.omega_laser)))
 
@@ -282,7 +281,7 @@ class TestMeanReflectedField:
             kappa1=0.5e6, kappa2=0.5e6, length=1e-3, omega_laser=1.77e15, detuning=0.0
         )
         drive = q.DriveParams(power=1e-3)
-        st = q.CouplingState(g0=0.0, g=0.0, alpha_s=1.0, q_s=0.0, p_s=0.0, detuning=0.0)
+        st = q.CouplingState(g0=0.0, g=0.0, alpha_s=1.0, q_s=0.0, detuning=0.0)
         assert abs(q.mean_reflected_field(st, cavity, drive)) < 1e-12
 
     def test_reference_depth_oracle(self, system):
