@@ -11,6 +11,7 @@ spectral density on the estimator's grid.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +115,20 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
     m = cfg.segment_length // 2 + 1
     omega = 2.0 * np.pi * np.fft.rfftfreq(cfg.segment_length, 1.0 / cfg.sample_rate)
     omega[0] = omega[1] * 1e-6  # avoid the exact-DC corner of the model
+    channels = VACUUM_CHANNELS + CLASSICAL_CHANNELS
+    # One block allocated before the model, so the model's temporaries are
+    # freed from the top of the heap instead of leaving resident holes
+    # between the tables; synthesis threads allocate from their own arenas
+    # and could not reuse those holes.
+    block = np.empty((2, len(channels), 2, m), dtype=complex)
     model = SpectrumModel(system, omega)
     tables = {}
-    for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
-        tables[port] = {
-            ch: model._u(port, ch, phi)
-            for ch in VACUUM_CHANNELS + CLASSICAL_CHANNELS
-        }
+    for k, (port, phi) in enumerate((("signal", model.phi_s), ("meter", model.phi_m))):
+        tables[port] = {}
+        for j, ch in enumerate(channels):
+            u = block[k, j]
+            u[0], u[1] = model._u(port, ch, phi)
+            tables[port][ch] = (u[0], u[1])
     psd = {
         ch: np.broadcast_to(
             _classical_psd(system, ch, omega), (m,)
@@ -131,7 +139,11 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
 
 
 def _draw(rng, m):
-    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    # same bits and draw order as a + 1j*b, without the complex temporaries
+    z = np.empty(m, dtype=complex)
+    z.real = rng.standard_normal(m)
+    z.imag = rng.standard_normal(m)
+    return z
 
 
 def _segment(system, cfg, tables, psd, rng):
@@ -189,12 +201,40 @@ def _add_spikes(x, cfg, rng):
     return n_events
 
 
+def _piece(system, cfg, tables, psd, seq):
+    """One piece's (sum, difference, meter), drawn from its own substream."""
+    rng = np.random.default_rng(seq)
+    length = cfg.segment_length
+    x_sum, x_diff, y_m, z_m = _segment(system, cfg, tables, psd, rng)
+    if cfg.nonlinearity_lambda != 0.0:
+        sq = z_m**2
+        x_sum += cfg.nonlinearity_lambda * (sq - sq.mean())
+    if cfg.spike_rate > 0.0:
+        _add_spikes(x_sum, cfg, rng)
+    x_diff += 10.0 ** (cfg.common_mode_leak_db / 20.0) * x_sum
+    sigma_e = np.sqrt(cfg.electronic_noise_level)
+    x_sum = x_sum + sigma_e * rng.standard_normal(length)
+    x_diff = x_diff + sigma_e * rng.standard_normal(length)
+    y_m = y_m + sigma_e * rng.standard_normal(length)
+    return x_sum, x_diff, y_m
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
     """Generate a dataset whose second-order statistics match the model.
 
-    Deterministic given (system, cfg): per-segment substreams are spawned
-    from the seed, so segments may be generated in any order or in
-    parallel without changing the output.
+    Deterministic given (system, cfg): each piece draws from its own
+    substream spawned from the seed, so the pieces are generated on a
+    thread pool, one worker per CPU of the process, and the output does
+    not depend on the number of CPUs.  Placement and the continuous-mode
+    overlap-add run on the calling thread, in piece order.
     """
     cfg.validate_band(system)
     tables, psd = _port_tables(system, cfg)
@@ -203,35 +243,37 @@ def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
     n_total = cfg.n_segments * length
     n_pieces = 2 * cfg.n_segments + 1 if cfg.continuous else cfg.n_segments
     chans = {name: np.zeros(n_total) for name in _CHANNEL_ORDER}
-    leak = 10.0 ** (cfg.common_mode_leak_db / 20.0)
-    sigma_e = np.sqrt(cfg.electronic_noise_level)
     # sin half-windows at 50% overlap sum to unit power across joints
     window = np.sin(np.pi * (np.arange(length) + 0.5) / length)
     seqs = np.random.SeedSequence(cfg.seed).spawn(n_pieces)
-    for i, seq in enumerate(seqs):
-        rng = np.random.default_rng(seq)
-        x_sum, x_diff, y_m, z_m = _segment(system, cfg, tables, psd, rng)
-        if cfg.nonlinearity_lambda != 0.0:
-            sq = z_m**2
-            x_sum += cfg.nonlinearity_lambda * (sq - sq.mean())
-        if cfg.spike_rate > 0.0:
-            _add_spikes(x_sum, cfg, rng)
-        x_diff += leak * x_sum
-        x_sum = x_sum + sigma_e * rng.standard_normal(length)
-        x_diff = x_diff + sigma_e * rng.standard_normal(length)
-        y_m = y_m + sigma_e * rng.standard_normal(length)
-        pieces = {"sum": x_sum, "difference": x_diff, "meter": y_m}
-        if cfg.continuous:
-            lo = i * half - half
-            for name in _CHANNEL_ORDER:
-                seg = window * pieces[name]
+    if n_pieces:
+        from concurrent.futures import ThreadPoolExecutor
+
+        n_workers = min(_cpu_count(), n_pieces)
+        # submit a bounded window ahead of the consumer, so finished pieces
+        # cannot pile up in memory while an earlier one is still running
+        ahead = 2 * n_workers
+        with ThreadPoolExecutor(n_workers) as pool:
+            futures = deque(
+                pool.submit(_piece, system, cfg, tables, psd, seq)
+                for seq in seqs[:ahead]
+            )
+            for i in range(n_pieces):
+                piece = futures.popleft().result()
+                if i + ahead < n_pieces:
+                    futures.append(
+                        pool.submit(_piece, system, cfg, tables, psd, seqs[i + ahead])
+                    )
+                # adjacent continuous pieces overlap by half, so every write
+                # into the channels stays on this thread, in piece order
+                lo = i * half - half if cfg.continuous else i * length
                 a = max(lo, 0)
                 b = min(lo + length, n_total)
-                chans[name][a:b] += seg[a - lo : b - lo]
-        else:
-            sl = slice(i * length, (i + 1) * length)
-            for name in _CHANNEL_ORDER:
-                chans[name][sl] = pieces[name]
+                for name, x in zip(_CHANNEL_ORDER, piece):
+                    if cfg.continuous:
+                        chans[name][a:b] += (window * x)[a - lo : b - lo]
+                    else:
+                        chans[name][a:b] = x
     return DataSet(
         sum=chans["sum"],
         difference=chans["difference"],

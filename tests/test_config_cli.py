@@ -252,6 +252,15 @@ class TestColdStart:
         )
         assert loaded == []
 
+    def test_import_loads_no_thread_pool(self):
+        # synthesize imports concurrent.futures when it first runs
+        loaded = _fresh_python(
+            "-c",
+            "import json, sys, qndlab, qndlab.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'concurrent')))",
+        )
+        assert loaded == []
+
     def test_synth_and_estimate_skip_stats_and_optimize(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(

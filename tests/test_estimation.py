@@ -57,6 +57,28 @@ class TestSelection:
         assert not seg.kept_mask[3]
         assert seg.kept_mask.sum() == len(seg.kept_mask) - 1
 
+    def test_all_kept_gives_read_only_views(self, small_dataset):
+        seg = q.segment_and_select(small_dataset)
+        assert seg.kept_fraction == 1.0
+        for name, x in seg.time_segments.items():
+            assert np.shares_memory(x, small_dataset.channel(name))
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0, 0] = 0.0
+        assert small_dataset.sum.flags.writeable
+        copies = dataclasses.replace(
+            seg, time_segments={k: v.copy() for k, v in seg.time_segments.items()}
+        )
+        for window in estimation.WINDOWS:
+            a = q.transform(seg, window, band=(120e3, 220e3))
+            b = q.transform(copies, window, band=(120e3, 220e3))
+            assert a.dfts.keys() == b.dfts.keys()
+            for ch in a.dfts:
+                assert np.array_equal(a.dfts[ch], b.dfts[ch])
+                pa, pb = q.power_spectrum(a, ch), q.power_spectrum(b, ch)
+                assert np.array_equal(pa.values, pb.values)
+                assert np.array_equal(pa.stderr, pb.stderr)
+
     def test_too_few_segments(self, small_dataset):
         with pytest.raises(TooFewSegments):
             q.segment_and_select(small_dataset, peak_limit=1e-6, rms_limit=1e-6)
@@ -171,6 +193,14 @@ class TestResidualSingle:
         )
         with pytest.raises(TooFewSegments):
             q.residual_single(seg3, "sum", "meter")
+
+    @pytest.mark.parametrize("n_segments", [11, 12])
+    def test_odd_count_leaves_last_segment_out(self, n_segments):
+        seg = _toy_segments(n_segments, 2**9, 6)
+        assert seg.n_kept == n_segments
+        assert q.power_spectrum(seg, "sum").n_averages == n_segments
+        for res in (q.residual_single(seg), q.residual_two_channel(seg)):
+            assert res.n_averages == n_segments - n_segments % 2
 
     def test_exchange_symmetry(self):
         seg = _toy_segments(16, 2**9, 3)

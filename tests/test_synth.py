@@ -1,12 +1,13 @@
 """Synthetic record generation: statistics, impairments, and the file format."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 import qndlab as q
-from qndlab import theory
+from qndlab import synth, theory
 from qndlab.errors import ConfigError, FormatError
 
 
@@ -113,6 +114,81 @@ class TestSynthesize:
         s_theory = model.quadrature_spectrum("signal", model.phi_s)
         ratio = np.mean(est.values[sel]) / np.mean(s_theory)
         assert ratio == pytest.approx(1.0, abs=0.10)
+
+
+def _serial_synthesis(system, cfg):
+    """The serial chain, piece after piece, that synthesize must reproduce."""
+    tables, psd = synth._port_tables(system, cfg)
+    length = cfg.segment_length
+    half = length // 2
+    n_total = cfg.n_segments * length
+    n_pieces = 2 * cfg.n_segments + 1 if cfg.continuous else cfg.n_segments
+    chans = {name: np.zeros(n_total) for name in ("sum", "difference", "meter")}
+    leak = 10.0 ** (cfg.common_mode_leak_db / 20.0)
+    sigma_e = np.sqrt(cfg.electronic_noise_level)
+    window = np.sin(np.pi * (np.arange(length) + 0.5) / length)
+    seqs = np.random.SeedSequence(cfg.seed).spawn(n_pieces)
+    for i, seq in enumerate(seqs):
+        rng = np.random.default_rng(seq)
+        x_sum, x_diff, y_m, z_m = synth._segment(system, cfg, tables, psd, rng)
+        if cfg.nonlinearity_lambda != 0.0:
+            sq = z_m**2
+            x_sum += cfg.nonlinearity_lambda * (sq - sq.mean())
+        if cfg.spike_rate > 0.0:
+            synth._add_spikes(x_sum, cfg, rng)
+        x_diff += leak * x_sum
+        x_sum = x_sum + sigma_e * rng.standard_normal(length)
+        x_diff = x_diff + sigma_e * rng.standard_normal(length)
+        y_m = y_m + sigma_e * rng.standard_normal(length)
+        pieces = {"sum": x_sum, "difference": x_diff, "meter": y_m}
+        if cfg.continuous:
+            lo = i * half - half
+            for name in chans:
+                seg = window * pieces[name]
+                a = max(lo, 0)
+                b = min(lo + length, n_total)
+                chans[name][a:b] += seg[a - lo : b - lo]
+        else:
+            for name in chans:
+                chans[name][i * length : (i + 1) * length] = pieces[name]
+    return chans
+
+
+class TestParallelSynthesis:
+    def test_draw_is_the_complex_sum(self):
+        # the frozen seeds were drawn as a + 1j*b, real part first
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        z = synth._draw(a, 1001)
+        assert np.array_equal(z, b.standard_normal(1001) + 1j * b.standard_normal(1001))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # 5 pieces: not a multiple of the worker count
+            q.SynthConfig(segment_length=2**12, n_segments=5, seed=17),
+            # overlapping pieces, spikes and the nonlinearity
+            q.SynthConfig(
+                segment_length=2**12, n_segments=6, seed=19, continuous=True,
+                spike_rate=1000.0, nonlinearity_lambda=2e-5,
+            ),
+        ],
+        ids=["plain-5", "continuous-spikes-nonlinear"],
+    )
+    def test_bit_identical_to_serial_chain(self, system, cfg, monkeypatch):
+        ref = _serial_synthesis(system, cfg)
+        # this process's CPUs, then more workers than cores with frequent
+        # thread switches
+        got = [synth.synthesize(system, cfg)]
+        monkeypatch.setattr(synth, "_cpu_count", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got.append(synth.synthesize(system, cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        for ds in got:
+            for name, x in ref.items():
+                assert np.array_equal(ds.channel(name), x), name
 
 
 class TestDatasetIO:
