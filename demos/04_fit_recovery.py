@@ -2,7 +2,8 @@
 
 Generates a signal-quadrature spectrum at a perturbed detuning and signal
 phase, adds realistic estimation noise, and fits (detuning, phi_s) back
-out with the multistart simplex optimizer.
+out: a multistart Brent search over detuning with the signal phase solved
+at each detuning, and Fisher uncertainties.
 """
 
 from dataclasses import replace

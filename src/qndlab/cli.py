@@ -232,9 +232,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     text = fitting.fit_report_text(result)
     with open(os.path.join(args.out, "fit_report.txt"), "w") as fh:
         fh.write(text)
-    fitted_system = fitting._apply_theta(
-        system, sorted(result.params), [result.params[k] for k in sorted(result.params)]
-    )
+    fitted_system = fitting.with_params(system, result.params)
     model = theory.SpectrumModel(fitted_system, 2 * np.pi * p_sum.frequencies)
     _write_csv(
         os.path.join(args.out, "fit_curves.csv"),

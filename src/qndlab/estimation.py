@@ -70,6 +70,8 @@ class SpectrumEstimate:
     n_averages: int
     sql_reference: float = 1.0
     normalized: bool = False
+    # bins that electronic-noise subtraction floored at zero
+    floored_bins: int = 0
 
     def normalized_by(self, sql_reference: float) -> "SpectrumEstimate":
         """Return a copy rescaled so the given SQL level reads 1."""
@@ -88,13 +90,12 @@ class SpectrumEstimate:
 class ResidualEstimate(SpectrumEstimate):
     """Spectrum estimate of the prediction residual.
 
-    Keeps the two half-set weight functions and half-set estimates for
-    the split-consistency diagnostic.  Finite-sample values are not
-    bounded by the auto-spectrum pointwise; only the expectation is.
+    Keeps the two half-set estimates for the split-consistency
+    diagnostic.  Finite-sample values are not bounded by the auto-spectrum
+    pointwise; only the expectation is.
     """
 
     channels_used: tuple = ("meter",)
-    alpha_functions: tuple = ()
     half_values: tuple = ()
     half_stderr: tuple = ()
 
@@ -253,7 +254,6 @@ def _assemble_residual(seg, x, preds, alpha_solver, channels_used):
         stderr=stderr,
         n_averages=m,
         channels_used=channels_used,
-        alpha_functions=(alpha_odd, alpha_even),
         half_values=halves_vals,
         half_stderr=halves_err,
     )
@@ -395,20 +395,21 @@ def shot_linearity_sweep(levels, sql_values):
 def subtract_electronic_noise(
     est: SpectrumEstimate, electronic: SpectrumEstimate
 ) -> SpectrumEstimate:
-    """Pointwise subtraction with errors combined in quadrature."""
+    """Pointwise subtraction with errors combined in quadrature.
+
+    Negative differences are floored at zero; ``floored_bins`` counts them.
+    """
     if len(est.frequencies) != len(electronic.frequencies) or not np.allclose(
         est.frequencies, electronic.frequencies
     ):
         raise GridMismatch("estimates are on different frequency grids")
     values = est.values - electronic.values
-    floored = int(np.sum(values < 0))
-    out = replace(
+    return replace(
         est,
         values=np.clip(values, 0.0, None),
         stderr=np.hypot(est.stderr, electronic.stderr),
+        floored_bins=int(np.sum(values < 0)),
     )
-    out.floored_bins = floored
-    return out
 
 
 # Cephes ndtri (S. L. Moshier), the algorithm of scipy.special.ndtri, with

@@ -101,6 +101,15 @@ class ZetaModel:
         if self.background < 0 or any(a < 0 for _, _, a in self.peaks):
             raise ConfigError("zeta model amplitudes must be non-negative")
 
+    @staticmethod
+    def _tail_denominator(omega):
+        floor = 1.0  # rad/s; keeps the 1/omega^2 tail finite at DC
+        return np.maximum(np.abs(np.asarray(omega, dtype=float)), floor) ** 2
+
+    def background_shape(self, omega):
+        """S_zeta per unit ``background``: 1/max(|omega|, 1 rad/s)^2."""
+        return 1.0 / self._tail_denominator(omega)
+
     def psd(self, omega):
         """Evaluate S_zeta(omega); even in omega, finite at omega = 0."""
         w = np.abs(np.asarray(omega, dtype=float))
@@ -108,8 +117,9 @@ class ZetaModel:
         for center, width, amp in self.peaks:
             out += amp * width**2 / ((w - center) ** 2 + width**2)
         if self.background:
-            floor = 1.0  # rad/s; keeps the 1/omega^2 tail finite at DC
-            out += self.background / np.maximum(w, floor) ** 2
+            # background / denominator, not background * background_shape:
+            # the division keeps the spectra bit-identical
+            out += self.background / self._tail_denominator(w)
         return out
 
     def scaled(self, factor: float) -> "ZetaModel":

@@ -10,6 +10,7 @@ spectral density on the estimator's grid.
 
 from __future__ import annotations
 
+import mmap
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -115,20 +116,30 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
     m = cfg.segment_length // 2 + 1
     omega = 2.0 * np.pi * np.fft.rfftfreq(cfg.segment_length, 1.0 / cfg.sample_rate)
     omega[0] = omega[1] * 1e-6  # avoid the exact-DC corner of the model
-    channels = VACUUM_CHANNELS + CLASSICAL_CHANNELS
-    # One block allocated before the model, so the model's temporaries are
-    # freed from the top of the heap instead of leaving resident holes
-    # between the tables; synthesis threads allocate from their own arenas
-    # and could not reuse those holes.
-    block = np.empty((2, len(channels), 2, m), dtype=complex)
+    # u(+omega) and u(-omega) per vacuum channel, u(+omega) alone per
+    # classical channel (_segment reads no other row).  All rows sit in one
+    # anonymous mapping rather than a malloc block, so freeing it returns
+    # the memory at once: from malloc, a block under glibc's 32 MiB cap on
+    # the dynamic mmap threshold (27 MB at 2**17 samples) can land on the
+    # heap, and the hole it left raised a 32 x 2**17 run's peak RSS by
+    # 46 MB.  Separate tables would leave such holes between them, which
+    # synthesis threads, allocating from their own arenas, cannot reuse.
+    rows = 2 * len(VACUUM_CHANNELS) + len(CLASSICAL_CHANNELS)
+    nbytes = 2 * rows * m * np.dtype(complex).itemsize
+    block = np.frombuffer(mmap.mmap(-1, nbytes), dtype=complex).reshape(2, rows, m)
     model = SpectrumModel(system, omega)
     tables = {}
     for k, (port, phi) in enumerate((("signal", model.phi_s), ("meter", model.phi_m))):
         tables[port] = {}
-        for j, ch in enumerate(channels):
-            u = block[k, j]
-            u[0], u[1] = model._u(port, ch, phi)
-            tables[port][ch] = (u[0], u[1])
+        free = iter(block[k])
+        for ch in VACUUM_CHANNELS:
+            u_pos, u_neg = next(free), next(free)
+            u_pos[:], u_neg[:] = model._u(port, ch, phi)
+            tables[port][ch] = (u_pos, u_neg)
+        for ch in CLASSICAL_CHANNELS:
+            u_pos = next(free)
+            u_pos[:] = model._u(port, ch, phi)[0]
+            tables[port][ch] = (u_pos,)
     psd = {
         ch: np.broadcast_to(
             _classical_psd(system, ch, omega), (m,)

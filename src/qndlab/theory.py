@@ -7,7 +7,7 @@ phase (SQL = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -234,6 +234,42 @@ class SpectrumModel:
             if ch in active:
                 total += self.channel_contribution(port, ch, phi)
         return total
+
+    def phase_harmonics(self, port):
+        """The port quadrature spectrum's dependence on phase and background.
+
+        Returns real A0, B0 and complex A2, B2 on the model grid with
+
+            quadrature_spectrum(port, phi) = A0 + Re(A2 exp(-2i phi))
+                + background * (B0 + Re(B2 exp(-2i phi)))
+
+        for every phi, ``background`` being ``system.zeta.background``:
+        B is the zeta channel per unit background (its shape from
+        ``ZetaModel.background_shape``), and A holds every other
+        contribution, the zeta peaks included.
+        """
+        cp, cn = self._pos[port], self._neg[port]
+        a0 = np.zeros_like(self.omega)
+        a2 = np.zeros_like(self.omega, dtype=complex)
+        for ch in VACUUM_CHANNELS:
+            a0 += 0.5 * (
+                np.abs(cp.a[ch]) ** 2 + np.abs(cn.b[ch]) ** 2
+                + np.abs(cn.a[ch]) ** 2 + np.abs(cp.b[ch]) ** 2
+            )
+            a2 += cp.a[ch] * cn.b[ch] + cn.a[ch] * cp.b[ch]
+        zeta = self.system.zeta
+        for ch in CLASSICAL_CHANNELS:
+            h0 = np.abs(cp.a[ch]) ** 2 + np.abs(cn.a[ch]) ** 2
+            h2 = 2.0 * cp.a[ch] * cn.a[ch]
+            if ch == "zeta":
+                psd = replace(zeta, background=0.0).psd(self.omega)
+                shape = zeta.background_shape(self.omega)
+                b0, b2 = h0 * shape, h2 * shape
+            else:
+                psd = _classical_psd(self.system, ch, self.omega)
+            a0 += h0 * psd
+            a2 += h2 * psd
+        return a0, a2, b0, b2
 
     def cross_spectrum(self, phi_s=None, phi_m=None, sources=ALL_SOURCES):
         """Symmetrized cross-spectrum S_XsYm(omega) between the two ports."""

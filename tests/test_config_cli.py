@@ -207,7 +207,8 @@ class TestCliErrorFamilies:
 
 
 # Runs `python -m qndlab.cli` (runpy is what -m uses) for synth and then
-# estimate in one fresh interpreter; prints exit codes and scipy modules.
+# the given command on its dataset in one fresh interpreter; prints exit
+# codes and scipy modules.
 _ENTRY_PROBE = """
 import json, runpy, sys
 
@@ -218,10 +219,10 @@ def run(argv):
     except SystemExit as exc:
         return exc.code
 
-out, cfg = sys.argv[1], sys.argv[2]
+out, cfg, command = sys.argv[1], sys.argv[2], sys.argv[3]
 codes = [
     run(["synth", "--config", cfg, "--out", out]),
-    run(["estimate", out + "/dataset.qnd", "--config", cfg, "--out", out]),
+    run([command, out + "/dataset.qnd", "--config", cfg, "--out", out]),
 ]
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"codes": codes, "scipy": scipy}))
@@ -267,9 +268,21 @@ class TestColdStart:
             "[synth]\nsegment_length = 8192\nn_segments = 8\n"
             "[estimate]\nband_average_hz = 1300.0\n"
         )
-        got = _fresh_python("-c", _ENTRY_PROBE, str(tmp_path), str(cfg))
+        got = _fresh_python("-c", _ENTRY_PROBE, str(tmp_path), str(cfg), "estimate")
         assert got["codes"] == [0, 0]
         assert (tmp_path / "dataset.qnd").exists()
         assert (tmp_path / "residual_banded.csv").exists()
         # neither command fits, so neither loads any scipy module
+        assert got["scipy"] == []
+
+    def test_fit_loads_no_scipy(self, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "[synth]\nsegment_length = 8192\nn_segments = 8\n"
+            "[fit]\nn_multistarts = 3\n"
+        )
+        got = _fresh_python("-c", _ENTRY_PROBE, str(tmp_path), str(cfg), "fit")
+        assert got["codes"] == [0, 0]
+        assert "evaluations = " in (tmp_path / "fit_report.txt").read_text()
+        assert (tmp_path / "fit_curves.csv").exists()
         assert got["scipy"] == []

@@ -230,6 +230,39 @@ class TestFullModel:
             rtol=1e-10,
         )
 
+    @pytest.mark.parametrize("port", ["signal", "meter"])
+    def test_phase_harmonics_match_quadrature_spectrum(self, system, port):
+        w = TWO_PI * np.linspace(100e3, 195e3, 300)
+        for detuning in (-0.012, -0.016, -0.025):
+            for background in (6e11, 2e12):
+                sys_t = dataclasses.replace(
+                    system,
+                    cavity=dataclasses.replace(
+                        system.cavity, detuning=detuning * system.cavity.kappa
+                    ),
+                    zeta=dataclasses.replace(system.zeta, background=background),
+                )
+                model = theory.SpectrumModel(sys_t, w)
+                a0, a2, b0, b2 = model.phase_harmonics(port)
+                for phi in (-0.03, 0.4, 1.2):
+                    rot = np.exp(-2j * phi)
+                    got = a0 + (a2 * rot).real + background * (b0 + (b2 * rot).real)
+                    np.testing.assert_allclose(
+                        got, model.quadrature_spectrum(port, phi), rtol=1e-10
+                    )
+
+    def test_zeta_background_shape(self, system):
+        w = TWO_PI * np.array([0.0, 1e-3, 20e3, 169e3, 208e3])
+        zeta = system.zeta
+        peaks = dataclasses.replace(zeta, background=0.0)
+        np.testing.assert_allclose(
+            zeta.psd(w),
+            peaks.psd(w) + zeta.background * zeta.background_shape(w),
+            rtol=1e-15,
+        )
+        # the 1/omega^2 tail is capped below 1 rad/s
+        assert zeta.background_shape(0.0) == 1.0
+
     def test_simplified_full_consistency(self, system):
         """Full-model residual vs the simplified closed form.
 
