@@ -258,19 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="configuration file")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="run seed override")
-    common.add_argument("--vacuum-only", action="store_true",
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="run seed override")
+    vacuum = argparse.ArgumentParser(add_help=False)
+    vacuum.add_argument("--vacuum-only", action="store_true",
                         help="switch off drive and classical noises")
-    sub.add_parser("theory", parents=[common])
-    sub.add_parser("budget", parents=[common])
-    sub.add_parser("synth", parents=[common])
+    sub.add_parser("theory", parents=[common, vacuum])
+    sub.add_parser("budget", parents=[common, vacuum])
+    sub.add_parser("synth", parents=[common, seed, vacuum])
     p_est = sub.add_parser("estimate", parents=[common])
     p_est.add_argument("dataset", help="dataset file to analyze")
     p_est.add_argument("--channels", default="meter",
                        help="predictor channels: meter or meter,meter_squared")
     p_est.add_argument("--band-hz", type=float, default=None,
                        help="banding width override in Hz")
-    p_fit = sub.add_parser("fit", parents=[common])
+    p_fit = sub.add_parser("fit", parents=[common, seed])
     p_fit.add_argument("dataset", help="dataset file to fit")
     return parser
 

@@ -237,16 +237,16 @@ def lock_phase_for_signal_phase(
             f"target signal phase {phi_s_target:.4f} rad outside the "
             f"tuning range {phi_r:.4f} +/- {span:.4f} rad"
         )
-
-    def offset_of(phi0):
-        from dataclasses import replace
-
-        _, _, phi_s = quadrature_phases(state, cavity, replace(det, phi0=phi0))
-        return phi_s - phi_s_target
-
-    from scipy.optimize import brentq
-
-    return brentq(offset_of, -np.pi / 2 + 1e-9, np.pi / 2 - 1e-9, xtol=1e-14)
+    if det.p_reference_arm == 0:
+        return 0.0  # every lock phase gives phi_r
+    # phi_r - phi_s = arg(sqrt(R) + exp(i phi0)), R the cavity/reference arm
+    # power ratio, so sqrt(R) + exp(i phi0) = t exp(i o) for o = phi_r - phi_s,
+    # t the larger root of |t exp(i o) - sqrt(R)| = 1; within the tuning
+    # range it puts phi0 in (-pi/2, pi/2)
+    root_ratio = np.sqrt(det.p_cavity_arm / det.p_reference_arm)
+    o = phi_r - phi_s_target
+    t = root_ratio * np.cos(o) + np.sqrt(1.0 - (root_ratio * np.sin(o)) ** 2)
+    return float(np.angle(t * np.exp(1j * o) - root_ratio))
 
 
 @dataclass(frozen=True)
@@ -262,15 +262,8 @@ class PortCoefficients:
     a: dict  # channel -> A array (vacuum) or coefficient array (classical)
     b: dict  # channel -> B array (vacuum channels only)
 
-    def coefficient_pair(self, channel):
-        if channel in VACUUM_CHANNELS:
-            return self.a[channel], self.b[channel]
-        return self.a[channel], None
 
-
-def apply_losses_and_modematch(
-    nu: dict, det: DetectionParams, omega=None
-) -> dict:
+def apply_losses_and_modematch(nu: dict, det: DetectionParams, omega) -> dict:
     """Mix the bare output coefficients with loss and mode-match vacua.
 
     Takes the nu1..nu7 coefficient dict of the intracavity output field and
@@ -280,8 +273,6 @@ def apply_losses_and_modematch(
     then admixes its own detection vacuum (a3 for the meter, a4 for the
     signal).
     """
-    if omega is None:
-        omega = np.full_like(np.real(nu["nu1"]), np.nan)
     eta_mm = det.eta_modematch
 
     zeros = np.zeros_like(nu["nu1"])

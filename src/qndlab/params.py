@@ -80,9 +80,6 @@ class CavityParams:
     def kappa(self) -> float:
         return self.kappa1 + self.kappa2
 
-    def with_detuning(self, detuning: float) -> "CavityParams":
-        return replace(self, detuning=detuning, detuning0=None)
-
 
 @dataclass(frozen=True)
 class ZetaModel:
@@ -192,10 +189,6 @@ class CouplingState:
     alpha_s: complex
     q_s: float
     detuning: float
-
-    @property
-    def n_cavity(self) -> float:
-        return abs(self.alpha_s) ** 2
 
 
 @dataclass(frozen=True)

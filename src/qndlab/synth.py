@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .om_core import CLASSICAL_CHANNELS, VACUUM_CHANNELS
 from .params import SystemParams
-from .theory import SpectrumModel, _classical_psd
+from .theory import SpectrumModel
 
 _MAGIC = b"QNDL"
 _VERSION = 1
@@ -134,19 +134,13 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
         free = iter(block[k])
         for ch in VACUUM_CHANNELS:
             u_pos, u_neg = next(free), next(free)
-            u_pos[:], u_neg[:] = model._u(port, ch, phi)
+            u_pos[:], u_neg[:] = model.coefficients(port, ch, phi)
             tables[port][ch] = (u_pos, u_neg)
         for ch in CLASSICAL_CHANNELS:
             u_pos = next(free)
-            u_pos[:] = model._u(port, ch, phi)[0]
+            u_pos[:] = model.coefficients(port, ch, phi)[0]
             tables[port][ch] = (u_pos,)
-    psd = {
-        ch: np.broadcast_to(
-            _classical_psd(system, ch, omega), (m,)
-        ).astype(float)
-        for ch in CLASSICAL_CHANNELS
-    }
-    return tables, psd
+    return tables, {ch: model.psd[ch] for ch in CLASSICAL_CHANNELS}
 
 
 def _draw(rng, m):

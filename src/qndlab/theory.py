@@ -7,13 +7,13 @@ phase (SQL = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDenominator
 from .om_core import (
-    CLASSICAL_CHANNELS,
+    CHANNELS,
     SOURCE_GROUPS,
     VACUUM_CHANNELS,
     mech_susceptibility,
@@ -160,29 +160,25 @@ def fixed_phase_output_spectrum(params: SimpleModelParams, phi, omega):
 ALL_SOURCES = tuple(SOURCE_GROUPS)
 
 
-def _active_channels(sources) -> set:
-    channels = set()
-    for s in sources:
-        channels.update(SOURCE_GROUPS[s])
-    return channels
-
-
-def _classical_psd(system: SystemParams, channel: str, omega):
-    if channel == "eps":
-        return system.drive.epsilon_psd() * np.ones_like(omega)
-    if channel == "zeta":
-        return system.zeta.psd(omega)
-    if channel == "xi":
-        return system.xi_psd(omega)
-    raise KeyError(channel)
+def _channels(sources) -> tuple:
+    """The channels of ``sources``, in ``CHANNELS`` order."""
+    active = {ch for s in sources for ch in SOURCE_GROUPS[s]}
+    return tuple(ch for ch in CHANNELS if ch in active)
 
 
 class SpectrumModel:
     """Assembles quadrature spectra and cross-spectra of the detected ports.
 
-    Coefficients are evaluated once per grid on +omega and -omega; spectra
-    follow by summing channel contributions weighted by each channel's
-    symmetrized input spectrum.
+    Every spectrum is read from one channel table.  A port quadrature at
+    phase phi responds to channel c with
+
+        u(+-omega) = exp(-i phi) a(+-omega) + exp(i phi) conj(b(-+omega)),
+
+    where (a, b) multiply (c, c^dag).  A real classical input is its own
+    conjugate, so its b is its a; then u(-omega) = conj(u(omega)) and the
+    vacuum form 0.5*(|u(omega)|^2 + |u(-omega)|^2) is its |u(omega)|^2.
+    Each channel's contribution is weighted by ``psd[c]``, its symmetrized
+    input spectrum: 1 for a vacuum.
     """
 
     def __init__(self, system: SystemParams, omega):
@@ -191,8 +187,22 @@ class SpectrumModel:
         self.state = steady_state(
             system.mech, system.cavity, system.effective_drive()
         )
-        self._pos = output_port_coefficients(system, self.omega, self.state)
-        self._neg = output_port_coefficients(system, -self.omega, self.state)
+        pos = output_port_coefficients(system, self.omega, self.state)
+        neg = output_port_coefficients(system, -self.omega, self.state)
+        # per port and channel: (a(omega), a(-omega), b(omega), b(-omega))
+        self._table = {}
+        for port in ("signal", "meter"):
+            cp, cn = pos[port], neg[port]
+            self._table[port] = {
+                ch: (cp.a[ch], cn.a[ch], cp.b[ch], cn.b[ch])
+                if ch in VACUUM_CHANNELS
+                else (cp.a[ch], cn.a[ch], cp.a[ch], cn.a[ch])
+                for ch in CHANNELS
+            }
+        self.psd = dict.fromkeys(VACUUM_CHANNELS, 1.0)
+        self.psd["eps"] = np.full_like(self.omega, system.drive.epsilon_psd())
+        self.psd["zeta"] = system.zeta.psd(self.omega)
+        self.psd["xi"] = system.xi_psd(self.omega)
         self.phi_r, self.phi_m, self.phi_s_lock = quadrature_phases(
             self.state, system.cavity, system.det
         )
@@ -203,24 +213,16 @@ class SpectrumModel:
             return self.system.signal_phase
         return self.phi_s_lock
 
-    def _u(self, port, channel, phi):
-        """Quadrature coefficient u(omega) and u(-omega) for one channel."""
-        cp, cn = self._pos[port], self._neg[port]
+    def coefficients(self, port, channel, phi):
+        """Quadrature coefficients u(omega) and u(-omega) of one channel."""
+        a_pos, a_neg, b_pos, b_neg = self._table[port][channel]
         e_m, e_p = np.exp(-1j * phi), np.exp(1j * phi)
-        if channel in VACUUM_CHANNELS:
-            u_pos = cp.a[channel] * e_m + np.conj(cn.b[channel]) * e_p
-            u_neg = cn.a[channel] * e_m + np.conj(cp.b[channel]) * e_p
-        else:
-            u_pos = cp.a[channel] * e_m + np.conj(cn.a[channel]) * e_p
-            u_neg = np.conj(u_pos)
-        return u_pos, u_neg
+        return a_pos * e_m + np.conj(b_neg) * e_p, a_neg * e_m + np.conj(b_pos) * e_p
 
     def channel_contribution(self, port, channel, phi):
         """Contribution of one input channel to the port quadrature spectrum."""
-        u_pos, u_neg = self._u(port, channel, phi)
-        if channel in VACUUM_CHANNELS:
-            return 0.5 * (np.abs(u_pos) ** 2 + np.abs(u_neg) ** 2)
-        return np.abs(u_pos) ** 2 * _classical_psd(self.system, channel, self.omega)
+        u_pos, u_neg = self.coefficients(port, channel, phi)
+        return 0.5 * (np.abs(u_pos) ** 2 + np.abs(u_neg) ** 2) * self.psd[channel]
 
     def quadrature_spectrum(self, port, phi, sources=ALL_SOURCES):
         """Port quadrature spectrum in SQL units.
@@ -228,11 +230,9 @@ class SpectrumModel:
         ``sources`` restricts the classical + vacuum channels counted; the
         port's own detection vacuum is part of the "detection" group.
         """
-        active = _active_channels(sources)
         total = np.zeros_like(self.omega)
-        for ch in VACUUM_CHANNELS + CLASSICAL_CHANNELS:
-            if ch in active:
-                total += self.channel_contribution(port, ch, phi)
+        for ch in _channels(sources):
+            total += self.channel_contribution(port, ch, phi)
         return total
 
     def phase_harmonics(self, port):
@@ -248,25 +248,21 @@ class SpectrumModel:
         ``ZetaModel.background_shape``), and A holds every other
         contribution, the zeta peaks included.
         """
-        cp, cn = self._pos[port], self._neg[port]
+        zeta = self.system.zeta
         a0 = np.zeros_like(self.omega)
         a2 = np.zeros_like(self.omega, dtype=complex)
-        for ch in VACUUM_CHANNELS:
-            a0 += 0.5 * (
-                np.abs(cp.a[ch]) ** 2 + np.abs(cn.b[ch]) ** 2
-                + np.abs(cn.a[ch]) ** 2 + np.abs(cp.b[ch]) ** 2
+        for ch in CHANNELS:
+            a_pos, a_neg, b_pos, b_neg = self._table[port][ch]
+            h0 = 0.5 * (
+                np.abs(a_pos) ** 2 + np.abs(b_neg) ** 2
+                + np.abs(a_neg) ** 2 + np.abs(b_pos) ** 2
             )
-            a2 += cp.a[ch] * cn.b[ch] + cn.a[ch] * cp.b[ch]
-        zeta = self.system.zeta
-        for ch in CLASSICAL_CHANNELS:
-            h0 = np.abs(cp.a[ch]) ** 2 + np.abs(cn.a[ch]) ** 2
-            h2 = 2.0 * cp.a[ch] * cn.a[ch]
+            h2 = a_pos * b_neg + a_neg * b_pos
+            psd = self.psd[ch]
             if ch == "zeta":
                 psd = replace(zeta, background=0.0).psd(self.omega)
                 shape = zeta.background_shape(self.omega)
                 b0, b2 = h0 * shape, h2 * shape
-            else:
-                psd = _classical_psd(self.system, ch, self.omega)
             a0 += h0 * psd
             a2 += h2 * psd
         return a0, a2, b0, b2
@@ -275,20 +271,14 @@ class SpectrumModel:
         """Symmetrized cross-spectrum S_XsYm(omega) between the two ports."""
         phi_s = self.phi_s if phi_s is None else phi_s
         phi_m = self.phi_m if phi_m is None else phi_m
-        active = _active_channels(sources)
         total = np.zeros_like(self.omega, dtype=complex)
-        for ch in VACUUM_CHANNELS:
-            if ch not in active:
-                continue
-            ux_pos, ux_neg = self._u("signal", ch, phi_s)
-            uy_pos, uy_neg = self._u("meter", ch, phi_m)
-            total += 0.5 * (ux_pos * np.conj(uy_pos) + np.conj(ux_neg) * uy_neg)
-        for ch in CLASSICAL_CHANNELS:
-            if ch not in active:
-                continue
-            wx, _ = self._u("signal", ch, phi_s)
-            wy, _ = self._u("meter", ch, phi_m)
-            total += wx * np.conj(wy) * _classical_psd(self.system, ch, self.omega)
+        for ch in _channels(sources):
+            ux_pos, ux_neg = self.coefficients("signal", ch, phi_s)
+            uy_pos, uy_neg = self.coefficients("meter", ch, phi_m)
+            total += (
+                0.5 * (ux_pos * np.conj(uy_pos) + np.conj(ux_neg) * uy_neg)
+                * self.psd[ch]
+            )
         return total
 
 

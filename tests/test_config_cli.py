@@ -174,6 +174,17 @@ class TestCliErrorFamilies:
                        "--out", str(tmp_path)])
         assert rc == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "dataset.qnd", "--seed", "1"],
+        ["fit", "dataset.qnd", "--vacuum-only"],
+        ["theory", "--seed", "1"],
+        ["budget", "--seed", "1"],
+    ], ids=["estimate-seed", "fit-vacuum-only", "theory-seed", "budget-seed"])
+    def test_flag_the_command_ignores_exit_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_workers_flag_unknown(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["theory", "--out", str(tmp_path), "--workers", "1"])
@@ -259,6 +270,18 @@ class TestColdStart:
             "-c",
             "import json, sys, qndlab, qndlab.cli; print(json.dumps(sorted("
             "m for m in sys.modules if m.split('.')[0] == 'concurrent')))",
+        )
+        assert loaded == []
+
+    def test_lock_phase_loads_no_scipy(self):
+        loaded = _fresh_python(
+            "-c",
+            "import json, sys, qndlab as q\n"
+            "s = q.reference_defaults()\n"
+            "st = q.steady_state(s.mech, s.cavity, s.effective_drive())\n"
+            "q.lock_phase_for_signal_phase(st, s.cavity, s.det, -24e-3)\n"
+            "print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy')))",
         )
         assert loaded == []
 

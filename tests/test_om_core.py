@@ -325,6 +325,33 @@ class TestQuadraturePhases:
         _, _, phi_s = q.quadrature_phases(st, system.cavity, det)
         assert phi_s == pytest.approx(-24e-3, abs=1e-9)
 
+    @pytest.mark.parametrize("p_cavity_arm", [0.0, 0.3, 1.0, 4.0])
+    def test_lock_phase_matches_root_search(self, system, p_cavity_arm):
+        from scipy.optimize import brentq
+
+        st = _state(system)
+        det = dataclasses.replace(system.det, p_cavity_arm=p_cavity_arm)
+        phi_r, _, _ = q.quadrature_phases(st, system.cavity, det)
+        span = q.signal_phase_tuning_range(det)
+        for target in phi_r + span * np.linspace(-0.999, 0.999, 9):
+            def miss(phi0):
+                trial = dataclasses.replace(det, phi0=phi0)
+                return q.quadrature_phases(st, system.cavity, trial)[2] - target
+
+            ref = brentq(miss, -np.pi / 2 + 1e-9, np.pi / 2 - 1e-9, xtol=1e-14)
+            phi0 = q.lock_phase_for_signal_phase(st, system.cavity, det, target)
+            assert phi0 == pytest.approx(ref, abs=1e-12)
+            assert miss(phi0) == pytest.approx(0.0, abs=1e-14)
+
+    def test_dark_reference_arm_lock_phase(self, system):
+        # every lock phase gives phi_r, so the answer is the neutral one
+        st = _state(system)
+        det = dataclasses.replace(system.det, p_reference_arm=0.0)
+        phi_r, _, _ = q.quadrature_phases(st, system.cavity, det)
+        assert q.lock_phase_for_signal_phase(st, system.cavity, det, phi_r) == 0.0
+        with pytest.raises(DomainError):
+            q.lock_phase_for_signal_phase(st, system.cavity, det, phi_r + 1e-6)
+
     def test_unreachable_target_raises(self, system):
         st = _state(system)
         with pytest.raises(DomainError):

@@ -231,6 +231,25 @@ class TestFullModel:
         )
 
     @pytest.mark.parametrize("port", ["signal", "meter"])
+    @pytest.mark.parametrize("channel", ["eps", "zeta", "xi"])
+    def test_classical_coefficients_are_conjugate(self, system, port, channel):
+        # a real input is its own conjugate, so u(-omega) = conj(u(omega))
+        model = theory.SpectrumModel(system, TWO_PI * np.linspace(100e3, 220e3, 257))
+        for phi in (model.phi_s, model.phi_m, 0.7):
+            u_pos, u_neg = model.coefficients(port, channel, phi)
+            assert np.array_equal(u_neg, np.conj(u_pos))
+
+    def test_cross_spectrum_additive_over_sources(self, system):
+        model = theory.SpectrumModel(system, TWO_PI * np.linspace(100e3, 220e3, 257))
+        for phi_s, phi_m in ((None, None), (0.1, 1.2)):
+            parts = sum(
+                model.cross_spectrum(phi_s, phi_m, sources=(source,))
+                for source in theory.ALL_SOURCES
+            )
+            total = model.cross_spectrum(phi_s, phi_m)
+            np.testing.assert_allclose(parts, total, rtol=1e-12)
+
+    @pytest.mark.parametrize("port", ["signal", "meter"])
     def test_phase_harmonics_match_quadrature_spectrum(self, system, port):
         w = TWO_PI * np.linspace(100e3, 195e3, 300)
         for detuning in (-0.012, -0.016, -0.025):
