@@ -27,8 +27,6 @@ from .params import (
     MechanicalParams,
     SystemParams,
     ZetaModel,
-    default_zeta_model,
-    reference_defaults,
     thermal_occupancy,
 )
 from .om_core import (
@@ -78,7 +76,7 @@ from .estimation import (
     transform,
 )
 from .fitting import FitProblem, FitResult, fit
-from .config import RunConfig, default_config_text, load_config
+from .config import RunConfig, default_config_text, load_config, reference_defaults
 from .pipeline import Analysis, analyze
 
 __version__ = "0.1.0"

@@ -479,9 +479,10 @@ def fit(problem: FitProblem) -> FitResult:
     for (phi_s, b) at each visited detuning from the previous solution;
     the best result is kept (ties broken by start index).  With the
     detuning fixed, one model serves every start.  Uncertainties come from
-    the Fisher matrix of log S with weights (target/stderr)^2; a pair of
-    near-equal optima separated by more than that sigma raises the
-    degeneracy flag.
+    the Fisher matrix of log S with weights (target/stderr)^2; another
+    optimum within chi^2 + 1 of the best (chi^2 the loss times the sum of
+    those weights) but more than one sigma from it raises the degeneracy
+    flag.
     """
     f = np.asarray(problem.frequencies, dtype=float)
     sel = (f >= problem.band[0]) & (f <= problem.band[1])
@@ -545,7 +546,8 @@ def fit(problem: FitProblem) -> FitResult:
         if best.loss < _EXACT_LOSS:
             close = p.loss < _EXACT_LOSS
         else:
-            close = (p.loss - best.loss) < 0.01 * abs(best.loss)
+            # chi^2 = loss * sum of raw weights: within 1 of the best
+            close = (p.loss - best.loss) * weights_raw.sum() < 1.0
         if close and np.any(np.abs(theta_of(p) - theta) > np.maximum(sigma, 1e-300)):
             degenerate = True
             break

@@ -216,11 +216,16 @@ def quadrature_phases(
 
 
 def signal_phase_tuning_range(det: DetectionParams) -> float:
-    """Maximum |phi_s - phi_r| reachable by sweeping the lock phase phi0."""
+    """Maximum |phi_s - phi_r| reachable with a lock phase phi0 in (-pi/2, pi/2).
+
+    phi_r - phi_s = arg(sqrt(R) + exp(i phi0)), R the cavity/reference arm
+    power ratio, is monotone in phi0 there and tends to +-arctan(1/sqrt(R))
+    at its ends.
+    """
     if det.p_reference_arm == 0:
         return 0.0
     root_ratio = np.sqrt(det.p_cavity_arm / det.p_reference_arm)
-    return float(np.arcsin(1.0 / (root_ratio + 1.0)))
+    return float(np.arctan2(1.0, root_ratio))
 
 
 def lock_phase_for_signal_phase(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergence
+from .errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
 
@@ -119,12 +119,6 @@ class ZetaModel:
             out += self.background / self._tail_denominator(w)
         return out
 
-    def scaled(self, factor: float) -> "ZetaModel":
-        return ZetaModel(
-            peaks=tuple((c, w, a * factor) for c, w, a in self.peaks),
-            background=self.background * factor,
-        )
-
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -138,6 +132,7 @@ class DriveParams:
 
     power: float
     s_epsilon: float | None = None
+    # equal to config.DEFAULTS (a test checks); config_hash pins the field order
     excess_noise_ref_power: float = 24e-3
 
     def __post_init__(self):
@@ -167,6 +162,7 @@ class DetectionParams:
     eta_meter: float
     eta_signal: float
     eta_modematch: float
+    # equal to config.DEFAULTS (a test checks); config_hash pins the field order
     phi0: float = 0.0
     p_cavity_arm: float = 36.5e-3
     p_reference_arm: float = 6e-6
@@ -241,63 +237,3 @@ class SystemParams:
     def config_hash(self) -> str:
         text = repr(self).encode()
         return hashlib.sha256(text).hexdigest()[:12]
-
-
-def reference_defaults(
-    detuning_in_kappa: float = -0.016,
-    signal_phase: float = -24e-3,
-    power: float = 38e-3,
-    temperature: float = 5.6,
-    zeta: ZetaModel | None = None,
-) -> SystemParams:
-    """System parameters of the reference micro-mirror experiment.
-
-    The zeta amplitudes are pipeline defaults (free parameters of the
-    underlying instrument), chosen so the model curves show the reference
-    sub-SQL residual and squeezing behaviour.
-    """
-    mech = MechanicalParams(
-        omega_m=TWO_PI * 169334.0,
-        gamma_m=TWO_PI * 169334.0 / 1.1e6,
-        mass=2.5e-7,
-        temperature=temperature,
-    )
-    kappa1 = TWO_PI * 2.58e6
-    kappa2 = TWO_PI * 0.27e6
-    cavity = CavityParams(
-        kappa1=kappa1,
-        kappa2=kappa2,
-        length=1.455e-3,
-        omega_laser=TWO_PI * c_light / 1064e-9,
-        detuning=detuning_in_kappa * (kappa1 + kappa2),
-    )
-    drive = DriveParams(power=power)
-    det = DetectionParams(eta_meter=0.03, eta_signal=0.69, eta_modematch=0.90)
-    if zeta is None:
-        zeta = default_zeta_model()
-    return SystemParams(
-        mech=mech,
-        cavity=cavity,
-        drive=drive,
-        det=det,
-        zeta=zeta,
-        signal_phase=signal_phase,
-    )
-
-
-def default_zeta_model() -> ZetaModel:
-    """Cavity phase-noise defaults: 208 kHz unbalanced mode, 22 kHz wheel
-    mode remnant, 1/omega^2 tails of low-frequency modes.
-
-    The background level is the one free knob of the noise model; the
-    default keeps the two-channel residual sub-SQL over roughly 1.6 kHz
-    above the optical spring peak while leaving a finite squeezing window
-    at the larger-detuning working point.
-    """
-    return ZetaModel(
-        peaks=(
-            (TWO_PI * 208e3, TWO_PI * 2e3, 120.0),
-            (TWO_PI * 22e3, TWO_PI * 1e3, 300.0),
-        ),
-        background=6.0e11,
-    )

@@ -84,7 +84,7 @@ class SynthConfig:
 
 @dataclass
 class DataSet:
-    """Three synchronized real channels plus provenance.
+    """Three synchronized real channels.
 
     Channels are stored concatenated (n_segments * segment_length samples
     each); the segment boundaries are implied by ``config``.
@@ -95,7 +95,6 @@ class DataSet:
     meter: np.ndarray
     config: SynthConfig
     config_hash: str = ""
-    provenance: str = ""
 
     def __post_init__(self):
         n = len(self.sum)
@@ -285,7 +284,6 @@ def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
         meter=chans["meter"],
         config=cfg,
         config_hash=system.config_hash(),
-        provenance="synthesize",
     )
 
 
@@ -351,7 +349,6 @@ def read_dataset(path) -> DataSet:
         meter=data[2 * n_total :],
         config=cfg,
         config_hash=header["config_hash"],
-        provenance=f"read:{os.fspath(path)}",
     )
 
 

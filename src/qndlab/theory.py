@@ -47,15 +47,11 @@ class SimpleModelParams:
     gamma_th: float
     r_param: float
     readout_mode: str = "quantum_limit"
-    phi: float = 0.0
     kappa: float | None = None
-    gamma_th_scaling: str = "constant"  # or "frequency"
 
     def __post_init__(self):
         if self.readout_mode not in READOUT_MODES:
             raise ConfigError(f"readout_mode must be one of {READOUT_MODES}")
-        if self.gamma_th_scaling not in ("constant", "frequency"):
-            raise ConfigError("gamma_th_scaling must be 'constant' or 'frequency'")
         if self.r_param < 0:
             raise ConfigError("r_param must be non-negative")
 
@@ -72,14 +68,9 @@ class SimpleModelParams:
             return np.ones_like(np.asarray(omega, dtype=float), dtype=complex)
         return optical_susceptibility(self.kappa, omega)
 
-    def gamma_th_at(self, omega):
-        if self.gamma_th_scaling == "frequency":
-            return self.gamma_th * np.abs(np.asarray(omega, dtype=float)) / self.omega_m
-        return self.gamma_th * np.ones_like(np.asarray(omega, dtype=float))
-
     def cooperativity(self, omega):
         """C(omega) = Gamma_BA * |chi_opt|^2 / Gamma_th."""
-        return self.gamma_ba * np.abs(self.chi_opt(omega)) ** 2 / self.gamma_th_at(omega)
+        return self.gamma_ba * np.abs(self.chi_opt(omega)) ** 2 / self.gamma_th
 
     def r_at(self, omega):
         """Readout parameter R with its mode-dependent frequency weighting."""
@@ -97,7 +88,7 @@ def displacement_spectrum(params: SimpleModelParams, omega):
     """S_qq = 4*Gamma_th*|chi|^2 + |4*chi*chi_opt|^2 * Gamma_BA."""
     chi = params.chi(omega)
     chi_opt = params.chi_opt(omega)
-    thermal = 4.0 * params.gamma_th_at(omega) * np.abs(chi) ** 2
+    thermal = 4.0 * params.gamma_th * np.abs(chi) ** 2
     backaction = np.abs(4.0 * chi * chi_opt) ** 2 * params.gamma_ba
     return thermal + backaction
 
@@ -142,7 +133,7 @@ def fixed_phase_output_spectrum(params: SimpleModelParams, phi, omega):
         * np.abs(chi_opt) ** 2
         * np.sin(phi) ** 2
         * 4.0
-        * params.gamma_th_at(omega)
+        * params.gamma_th
         * np.abs(chi) ** 2
     )
     # Symmetrize over +/- omega: chi(-w) = conj(chi(w)).

@@ -1,6 +1,8 @@
 """Run configuration parsing and the command-line entry point."""
 
 import csv
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -74,6 +76,98 @@ class TestRunConfig:
     def test_override(self):
         cfg = load_config(text="[synth]\nn_segments = 7\n")
         assert cfg.synth_config().n_segments == 7
+
+    def test_frequency_thermal_force_scaling(self):
+        flat = load_config(text="").system()
+        system = load_config(
+            text="[system]\nthermal_force_scaling = frequency\n"
+        ).system()
+        assert system.thermal_force_scaling == "frequency"
+        w = TWO_PI * np.array([-200e3, 0.0, 84667.0, 169334.0, 338668.0])
+        np.testing.assert_allclose(
+            system.xi_psd(w),
+            flat.xi_psd(w) * np.abs(w) / system.mech.omega_m,
+            rtol=1e-15,
+            atol=0.0,
+        )
+
+
+class TestReferenceDefaults:
+    def test_equals_the_config_defaults(self):
+        system = q.reference_defaults()
+        assert system == load_config(text="").system()
+        assert system.config_hash() == "fa036c15f702"
+
+    def test_overrides_by_system_key(self):
+        system = q.reference_defaults(
+            detuning_kappa=np.float64(-0.019), signal_phase_rad=-41.5e-3
+        )
+        text = "[system]\ndetuning_kappa = -0.019\nsignal_phase_rad = -41.5e-3\n"
+        assert system == load_config(text=text).system()
+        assert system.cavity.detuning == -0.019 * system.cavity.kappa
+        assert system.signal_phase == -41.5e-3
+
+    def test_override_round_trips_exactly(self):
+        power = 0.1 + 0.2  # 0.30000000000000004, not 0.3
+        assert q.reference_defaults(power_w=power).drive.power == power
+
+    def test_unknown_key_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="detuning_in_kappa"):
+            q.reference_defaults(detuning_in_kappa=-0.019)
+
+
+def _default(section, key):
+    return load_config(text="").get_float(section, key)
+
+
+class TestDuplicatedDefaults:
+    """Defaults that cannot read ``DEFAULTS`` still equal its values."""
+
+    def test_synth_config(self):
+        assert q.SynthConfig() == load_config(text="").synth_config()
+
+    def test_estimation_defaults(self):
+        def default(fun, name):
+            return inspect.signature(fun).parameters[name].default
+
+        assert default(q.segment_and_select, "peak_limit") == _default(
+            "estimate", "peak_limit"
+        )
+        assert default(q.segment_and_select, "rms_limit") == _default(
+            "estimate", "rms_limit"
+        )
+        assert default(q.transform, "window") == load_config(text="").get(
+            "estimate", "window"
+        )
+        assert default(q.shot_calibration, "analysis_freq") == _default(
+            "estimate", "analysis_freq_hz"
+        )
+        assert default(q.band_average, "confidence") == _default(
+            "estimate", "confidence"
+        )
+
+    def test_fit_problem_defaults(self):
+        fields = {f.name: f.default for f in dataclasses.fields(q.FitProblem)}
+        assert fields["band"] == (
+            _default("fit", "band_lo_hz"),
+            _default("fit", "band_hi_hz"),
+        )
+        assert fields["n_multistarts"] == load_config(text="").get_int(
+            "fit", "n_multistarts"
+        )
+
+    @pytest.mark.parametrize(
+        "cls, name, key",
+        [
+            (q.DriveParams, "excess_noise_ref_power", "excess_noise_ref_power_w"),
+            (q.DetectionParams, "phi0", "phi0_rad"),
+            (q.DetectionParams, "p_cavity_arm", "p_cavity_arm_w"),
+            (q.DetectionParams, "p_reference_arm", "p_reference_arm_w"),
+        ],
+    )
+    def test_params_field_defaults(self, cls, name, key):
+        fields = {f.name: f.default for f in dataclasses.fields(cls)}
+        assert fields[name] == _default("system", key)
 
 
 class TestCliCommands:

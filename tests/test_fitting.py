@@ -138,6 +138,40 @@ class TestOptimizerProperties:
         r = fitting.fit(prob)
         assert r.degenerate
 
+    @pytest.mark.parametrize(
+        "offset_sigma, flagged",
+        [(0.5, True), (np.sqrt(5.0), False)],
+        ids=["dchi2-0.25", "dchi2-5"],
+    )
+    def test_degeneracy_needs_chi2_within_one(self, system, offset_sigma, flagged):
+        # the spectrum repeats with period pi in phi_s; an upper bound
+        # offset_sigma below the repeat of the best phase leaves a second
+        # optimum on that bound, offset_sigma^2 above the best chi^2.  With
+        # noisy data chi^2_min is ~3500, so a relative loss rule (within 1 %)
+        # would call both near-equal
+        f = np.linspace(150e3, 190e3, 120)
+        s = _signal_spectrum(system, f)
+        target = s * np.exp(0.1 * np.random.default_rng(3).standard_normal(len(f)))
+        stderr = 0.02 * target
+        chi2_scale = np.sum((target / stderr) ** 2)
+        wide = fitting.fit(fitting.FitProblem(
+            system, f, target, stderr, {"phi_s": (-1.0, 1.0)}, n_multistarts=5,
+        ))
+        phi, sigma = wide.params["phi_s"], wide.uncertainty["phi_s"]
+        hi = phi + np.pi - offset_sigma * sigma
+        chi2_min = wide.loss * chi2_scale
+        chi2_edge = chi2_scale * _loss_at(
+            fitting.with_params(system, {"phi_s": hi}), f, target, stderr
+        )
+        assert chi2_edge - chi2_min == pytest.approx(offset_sigma**2, rel=0.1)
+        assert chi2_edge - chi2_min < 0.01 * chi2_min
+        r = fitting.fit(fitting.FitProblem(
+            system, f, target, stderr, {"phi_s": (phi - 1.0, hi)},
+            n_multistarts=12,
+        ))
+        assert r.params["phi_s"] == pytest.approx(phi, abs=sigma)
+        assert r.degenerate is flagged
+
     def test_report_text(self, system):
         r = fitting.fit(self._problem(system))
         text = fitting.fit_report_text(r)

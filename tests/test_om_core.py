@@ -129,7 +129,7 @@ class TestEffectiveSusceptibility:
 
     def test_optical_spring_at_larger_detuning(self):
         # shifted-resonance values at the -0.019 kappa working point
-        system = q.reference_defaults(detuning_in_kappa=-0.019)
+        system = q.reference_defaults(detuning_kappa=-0.019)
         st = _state(system)
         f = np.arange(166e3, 169e3, 0.5)
         mag = np.abs(
@@ -149,7 +149,7 @@ class TestEffectiveSusceptibility:
         # amplitude rate (RMP's kappa/2); only eta_modematch * P enters the
         # cavity mode; RMP's g = g0 sqrt(n) with g0 = (omega_c/L) x_zpf and
         # x_zpf = sqrt(hbar/(2 m omega_m))
-        system = q.reference_defaults(detuning_in_kappa=detuning_in_kappa)
+        system = q.reference_defaults(detuning_kappa=detuning_in_kappa)
         cav, mech = system.cavity, system.mech
         kappa, delta = cav.kappa, cav.detuning
         w_m, gamma_m = mech.omega_m, mech.gamma_m
@@ -324,6 +324,31 @@ class TestQuadraturePhases:
         det = dataclasses.replace(system.det, phi0=phi0)
         _, _, phi_s = q.quadrature_phases(st, system.cavity, det)
         assert phi_s == pytest.approx(-24e-3, abs=1e-9)
+
+    def test_tuning_range_reaches_arctan(self, system):
+        # lock phases in (-pi/2, pi/2) reach arctan(1/sqrt(R)), 12.821 mrad
+        # at R = 6083, past the 12.659 mrad of arcsin(1/(sqrt(R) + 1))
+        st = _state(system)
+        det = system.det
+        root_ratio = np.sqrt(det.p_cavity_arm / det.p_reference_arm)
+        span = q.signal_phase_tuning_range(det)
+        assert span == pytest.approx(np.arctan(1.0 / root_ratio), rel=1e-15)
+        assert span == pytest.approx(12.821e-3, abs=1e-6)
+        phi_r, _, _ = q.quadrature_phases(st, system.cavity, det)
+        target = phi_r + 1.01 * np.arcsin(1.0 / (root_ratio + 1.0))
+        phi0 = q.lock_phase_for_signal_phase(st, system.cavity, det, target)
+        assert -np.pi / 2 < phi0 < np.pi / 2
+        trial = dataclasses.replace(det, phi0=phi0)
+        assert q.quadrature_phases(st, system.cavity, trial)[2] == pytest.approx(
+            target, abs=1e-15
+        )
+        for sign in (1.0, -1.0):
+            with pytest.raises(DomainError):
+                q.lock_phase_for_signal_phase(
+                    st, system.cavity, det, phi_r + sign * 1.001 * span
+                )
+        dark_cavity_arm = dataclasses.replace(det, p_cavity_arm=0.0)
+        assert q.signal_phase_tuning_range(dark_cavity_arm) == np.pi / 2
 
     @pytest.mark.parametrize("p_cavity_arm", [0.0, 0.3, 1.0, 4.0])
     def test_lock_phase_matches_root_search(self, system, p_cavity_arm):

@@ -89,5 +89,5 @@ class TestDerivedQuantities:
 class TestConfigHash:
     def test_stable_and_sensitive(self, system):
         assert system.config_hash() == system.config_hash()
-        other = q.reference_defaults(power=37e-3)
+        other = q.reference_defaults(power_w=37e-3)
         assert system.config_hash() != other.config_hash()

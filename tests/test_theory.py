@@ -170,7 +170,7 @@ class TestFullModel:
         assert not np.isclose(left, right, rtol=0.2)
 
     def test_squeezing_at_larger_detuning(self):
-        system = q.reference_defaults(detuning_in_kappa=-0.019, signal_phase=-41.5e-3)
+        system = q.reference_defaults(detuning_kappa=-0.019, signal_phase_rad=-41.5e-3)
         w = theory.default_omega_grid(system)
         model = theory.SpectrumModel(system, w)
         s_xs = model.quadrature_spectrum("signal", model.phi_s)
@@ -341,7 +341,7 @@ class TestNoiseBudget:
         )
 
     def test_zeta_cancellation_near_bare_frequency(self):
-        system = q.reference_defaults(detuning_in_kappa=-0.019, signal_phase=-41.5e-3)
+        system = q.reference_defaults(detuning_kappa=-0.019, signal_phase_rad=-41.5e-3)
         f = np.arange(168.3e3, 170.3e3, 20.0)
         budget = theory.noise_budget(system, "signal", None, TWO_PI * f)
         zeta = budget.contributions["cavity_phase"]
