@@ -26,6 +26,7 @@ from .errors import (
     SingularCrossMatrix,
     TooFewSegments,
 )
+from . import synth
 from .synth import DataSet
 
 WINDOWS = ("rectangular", "hann")
@@ -35,14 +36,14 @@ WINDOWS = ("rectangular", "hann")
 class SegmentSet:
     """Per-segment channel data on a common grid.
 
-    ``time_segments`` maps channel name to an (N, L) array of kept
-    segments; when every segment is kept these are read-only views of the
-    dataset's channels, not copies.  ``transform`` populates ``dfts``
-    (complex (N, M) arrays, including the derived "meter_squared" channel)
-    and ``frequencies``.
+    ``segments`` maps each dataset channel to a read-only (n_seg, L) view
+    of it, rejected segments included; ``kept_mask`` marks the segments
+    that passed selection.  No sample is copied.  ``transform`` populates
+    ``dfts`` (complex (n_kept, M) arrays of the kept segments, including
+    the derived "meter_squared" channel) and ``frequencies``.
     """
 
-    time_segments: dict
+    segments: dict
     kept_mask: np.ndarray
     sample_rate: float
     window: str = "rectangular"
@@ -59,7 +60,7 @@ class SegmentSet:
 
     @property
     def segment_length(self) -> int:
-        return next(iter(self.time_segments.values())).shape[1]
+        return next(iter(self.segments.values())).shape[1]
 
 
 @dataclass
@@ -100,10 +101,27 @@ class ResidualEstimate(SpectrumEstimate):
     half_stderr: tuple = ()
 
 
+def _on_pool(task, n: int) -> None:
+    """Run ``task(rows)`` on contiguous chunks of ``range(n)``, one per worker.
+
+    The pool is sized like ``synthesize``'s, to the process's CPU set.
+    Each task owns its scratch buffers and writes only its own rows, so
+    the result does not depend on the number of workers.
+    """
+    if n == 0:
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    n_workers = min(synth._cpu_count(), n)
+    with ThreadPoolExecutor(n_workers) as pool:
+        # list() re-raises a worker's exception here
+        list(pool.map(task, np.array_split(np.arange(n), n_workers)))
+
+
 def segment_and_select(
     ds: DataSet, peak_limit: float = 60.0, rms_limit: float = 25.0
 ) -> SegmentSet:
-    """Split channels into segments and drop noisy ones.
+    """Split channels into segments and mark the noisy ones.
 
     A segment is rejected when the sum channel's peak or rms exceeds the
     limits (SQL units).  The defaults are arbitrary, sized to catch the
@@ -112,32 +130,38 @@ def segment_and_select(
     1-3), but the default 64 x 2**19 dataset at seed 171 keeps 55 of 64,
     since a longer segment's peak crosses the limit more often.
 
-    When every segment passes, the returned segments are read-only views
-    of the dataset's channels; otherwise the kept rows are copied.
+    The returned segments are read-only views of all of the dataset's
+    channels, whether or not a segment is rejected; ``kept_mask`` says
+    which rows ``transform`` uses.  The statistics are taken one segment
+    at a time, so no temporary larger than a segment is made.
     """
     if peak_limit <= 0 or rms_limit <= 0:
         raise ConfigError("selection limits must be positive")
     length = ds.config.segment_length
     n_seg = len(ds.sum) // length
-    segs = {
-        name: ds.channel(name)[: n_seg * length].reshape(n_seg, length)
-        for name in ("sum", "difference", "meter")
-    }
-    peaks = np.abs(segs["sum"]).max(axis=1)
-    rms = segs["sum"].std(axis=1)
+    segs = {}
+    for name in ("sum", "difference", "meter"):
+        x = ds.channel(name)[: n_seg * length].reshape(n_seg, length)
+        # the views are frozen so an in-place write fails loudly
+        x.flags.writeable = False
+        segs[name] = x
+    peaks = np.empty(n_seg)
+    rms = np.empty(n_seg)
+
+    def stats(rows):
+        for i in rows:
+            x = segs["sum"][i]
+            peaks[i] = max(x.max(), -x.min())  # max |x| without an |x| copy
+            rms[i] = x.std()
+
+    _on_pool(stats, n_seg)
     kept = (peaks <= peak_limit) & (rms <= rms_limit)
     if kept.sum() < 4:
         raise TooFewSegments(
             f"only {int(kept.sum())} of {n_seg} segments pass selection"
         )
-    if kept.all():
-        # no copy: the views are frozen so an in-place write fails loudly
-        for x in segs.values():
-            x.flags.writeable = False
-    else:
-        segs = {name: segs[name][kept] for name in segs}
     return SegmentSet(
-        time_segments=segs,
+        segments=segs,
         kept_mask=kept,
         sample_rate=ds.config.sample_rate,
     )
@@ -146,11 +170,16 @@ def segment_and_select(
 def transform(
     seg: SegmentSet, window: str = "rectangular", band: tuple | None = None
 ) -> SegmentSet:
-    """Populate per-segment DFTs, including the meter-squared channel.
+    """Populate per-segment DFTs of the kept segments, including meter squared.
 
     The square of the meter has its per-segment mean removed before the
     transform, so the large deterministic DC term cannot leak.  ``band``
     (f_lo, f_hi) keeps only that slice of the grid to bound memory.
+
+    Each kept segment is windowed and transformed on its own, on a thread
+    pool, and only its band is kept: the memory beyond the band DFTs is a
+    few segment-sized buffers per worker.  The values equal those of one
+    batched ``rfft`` over the kept rows, bit for bit.
     """
     if window not in WINDOWS:
         raise ConfigError(f"window must be one of {WINDOWS}")
@@ -161,30 +190,49 @@ def transform(
     else:
         w = None
     freqs = np.fft.rfftfreq(length, 1.0 / seg.sample_rate)
+    lo, hi = 0, len(freqs)
     if band is not None:
-        lo, hi = band
-        sel = (freqs >= lo) & (freqs <= hi)
-        if not sel.any():
+        inside = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
+        if not len(inside):
             raise InsufficientBand(f"band {band} outside the grid")
-    else:
-        sel = slice(None)
-    dfts = {}
-    for name, x in seg.time_segments.items():
-        xw = x if w is None else x * w
-        dfts[name] = np.fft.rfft(xw, axis=1)[:, sel]
-    y = seg.time_segments["meter"]
-    sq = y**2
-    sq = sq - sq.mean(axis=1, keepdims=True)
-    if w is not None:
-        sq = sq * w
-    dfts["meter_squared"] = np.fft.rfft(sq, axis=1)[:, sel]
+        # the grid ascends, so the band is one contiguous slice
+        lo, hi = inside[0], inside[-1] + 1
+    rows = np.flatnonzero(seg.kept_mask)
+    # the memory order of a batched rfft, column-major once masked to a
+    # band, so the estimators' sums over segments add in the same order
+    dfts = {
+        name: np.empty(
+            (len(rows), hi - lo), dtype=complex, order="C" if band is None else "F"
+        )
+        for name in (*seg.segments, "meter_squared")
+    }
+
+    def band_dft(x, buf, full, out):
+        if w is not None:
+            x = np.multiply(x, w, out=buf)
+        np.fft.rfft(x, out=full)
+        out[:] = full[lo:hi]
+
+    def run(chunk):
+        buf = np.empty(length)
+        full = np.empty(len(freqs), dtype=complex)
+        for k in chunk:
+            i = rows[k]
+            for name, x in seg.segments.items():
+                band_dft(x[i], buf, full, dfts[name][k])
+            y = seg.segments["meter"][i]
+            sq = np.multiply(y, y, out=buf)
+            sq -= sq.mean()
+            band_dft(sq, buf, full, dfts["meter_squared"][k])
+
+    _on_pool(run, len(rows))
     return SegmentSet(
-        time_segments=seg.time_segments,
+        segments=seg.segments,
         kept_mask=seg.kept_mask,
         sample_rate=seg.sample_rate,
         window=window,
         dfts=dfts,
-        frequencies=freqs[sel],
+        frequencies=freqs[lo:hi].copy(),
     )
 
 

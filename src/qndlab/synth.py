@@ -303,7 +303,8 @@ def write_dataset(ds: DataSet, path) -> None:
             fh.write(f"{key}={header[key]}\n".encode("utf-8"))
         fh.write(b"\n")
         for name in _CHANNEL_ORDER:
-            fh.write(np.ascontiguousarray(ds.channel(name), dtype="<f8").tobytes())
+            # the array's own buffer, without the copy tobytes() would make
+            fh.write(memoryview(np.ascontiguousarray(ds.channel(name), dtype="<f8")))
 
 
 def read_dataset(path) -> DataSet:

@@ -2,13 +2,15 @@
 estimators, coherence, calibration, subtraction, banding, diagnostics."""
 
 import dataclasses
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
 import qndlab as q
-from qndlab import estimation
+from qndlab import estimation, synth
 from qndlab.errors import (
     ConfigError,
     GridMismatch,
@@ -58,26 +60,37 @@ class TestSelection:
         assert seg.kept_mask.sum() == len(seg.kept_mask) - 1
 
     def test_all_kept_gives_read_only_views(self, small_dataset):
-        seg = q.segment_and_select(small_dataset)
-        assert seg.kept_fraction == 1.0
-        for name, x in seg.time_segments.items():
-            assert np.shares_memory(x, small_dataset.channel(name))
-            assert not x.flags.writeable
-            with pytest.raises(ValueError):
-                x[0, 0] = 0.0
-        assert small_dataset.sum.flags.writeable
-        copies = dataclasses.replace(
-            seg, time_segments={k: v.copy() for k, v in seg.time_segments.items()}
-        )
-        for window in estimation.WINDOWS:
-            a = q.transform(seg, window, band=(120e3, 220e3))
-            b = q.transform(copies, window, band=(120e3, 220e3))
-            assert a.dfts.keys() == b.dfts.keys()
-            for ch in a.dfts:
-                assert np.array_equal(a.dfts[ch], b.dfts[ch])
-                pa, pb = q.power_spectrum(a, ch), q.power_spectrum(b, ch)
-                assert np.array_equal(pa.values, pb.values)
-                assert np.array_equal(pa.stderr, pb.stderr)
+        # the selection never copies, whether or not a segment is rejected
+        length = small_dataset.config.segment_length
+        spiked = small_dataset.sum.copy()
+        spiked[3 * length + 100] = 500.0
+        n_seg = small_dataset.config.n_segments
+        for ds, n_kept in (
+            (small_dataset, n_seg),
+            (dataclasses.replace(small_dataset, sum=spiked), n_seg - 1),
+        ):
+            seg = q.segment_and_select(ds)
+            assert seg.n_kept == n_kept
+            for name, x in seg.segments.items():
+                assert x.shape == (n_seg, length)
+                assert np.shares_memory(x, ds.channel(name))
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0, 0] = 0.0
+                assert ds.channel(name).flags.writeable
+            copies = dataclasses.replace(
+                seg, segments={k: v.copy() for k, v in seg.segments.items()}
+            )
+            for window in estimation.WINDOWS:
+                a = q.transform(seg, window, band=(120e3, 220e3))
+                b = q.transform(copies, window, band=(120e3, 220e3))
+                assert a.dfts.keys() == b.dfts.keys()
+                for ch in a.dfts:
+                    assert a.dfts[ch].shape[0] == n_kept
+                    assert np.array_equal(a.dfts[ch], b.dfts[ch])
+                    pa, pb = q.power_spectrum(a, ch), q.power_spectrum(b, ch)
+                    assert np.array_equal(pa.values, pb.values)
+                    assert np.array_equal(pa.stderr, pb.stderr)
 
     def test_too_few_segments(self, small_dataset):
         with pytest.raises(TooFewSegments):
@@ -105,7 +118,7 @@ class TestTransform:
 
     def test_parseval(self):
         seg = _white_segments(n_segments=4, length=2**10)
-        x = seg.time_segments["sum"][0]
+        x = seg.segments["sum"][np.flatnonzero(seg.kept_mask)[0]]
         f = seg.dfts["sum"][0]
         # rfft energy: double the interior bins of the one-sided grid
         energy = (np.abs(f[0]) ** 2 + np.abs(f[-1]) ** 2
@@ -140,6 +153,83 @@ class TestTransform:
         assert seg.frequencies.max() <= 2e5
         with pytest.raises(InsufficientBand):
             q.transform(raw, band=(1e9, 2e9))
+
+
+class TestStreaming:
+    """The per-segment transform against one batched rfft of the kept rows."""
+
+    @staticmethod
+    def _rejecting(dataset):
+        length = dataset.config.segment_length
+        spiked = dataset.sum.copy()
+        spiked[3 * length + 100] = 500.0
+        spiked[20 * length + 7] = -500.0
+        return dataclasses.replace(dataset, sum=spiked)
+
+    def test_matches_batched_rfft(self, small_dataset, monkeypatch):
+        raw = q.segment_and_select(self._rejecting(small_dataset))
+        assert raw.n_kept == len(raw.kept_mask) - 2
+        kept = {name: x[raw.kept_mask] for name, x in raw.segments.items()}
+        sq = kept["meter"] ** 2
+        kept["meter_squared"] = sq - sq.mean(axis=1, keepdims=True)
+        length = raw.segment_length
+        freqs = np.fft.rfftfreq(length, 1.0 / raw.sample_rate)
+        hann = np.hanning(length)
+        hann = hann / np.sqrt(np.mean(hann**2))
+        for window, w in (("rectangular", 1.0), ("hann", hann)):
+            for band in (None, (120e3, 220e3)):
+                sel = (
+                    slice(None) if band is None
+                    else (freqs >= band[0]) & (freqs <= band[1])
+                )
+                seg = q.transform(raw, window, band=band)
+                assert np.array_equal(seg.frequencies, freqs[sel])
+                assert seg.dfts.keys() == kept.keys()
+                ref = dataclasses.replace(seg, dfts={
+                    name: np.fft.rfft(x * w, axis=1)[:, sel] for name, x in kept.items()
+                })
+                for name in kept:
+                    assert np.array_equal(seg.dfts[name], ref.dfts[name]), (window, band, name)
+                # the estimators' sums over segments see the same memory order
+                for estimate in (
+                    lambda s: q.power_spectrum(s, "sum"),
+                    q.residual_two_channel,
+                    q.msc_estimate,
+                ):
+                    a, b = estimate(seg), estimate(ref)
+                    assert np.array_equal(a.values, b.values), (window, band)
+                    assert np.array_equal(a.stderr, b.stderr), (window, band)
+                # one worker, then more workers than cores with frequent switches
+                for n_workers in (1, 3):
+                    monkeypatch.setattr(synth, "_cpu_count", lambda n=n_workers: n)
+                    interval = sys.getswitchinterval()
+                    sys.setswitchinterval(1e-6)
+                    try:
+                        again = q.transform(raw, window, band=band)
+                    finally:
+                        sys.setswitchinterval(interval)
+                    monkeypatch.undo()
+                    for name in kept:
+                        assert np.array_equal(again.dfts[name], seg.dfts[name])
+
+    def test_memory_bounded_by_band(self, system, monkeypatch):
+        cfg = q.SynthConfig(segment_length=2**16, n_segments=16, seed=5, spike_rate=20.0)
+        ds = q.synthesize(system, cfg)
+        n_workers = 2
+        monkeypatch.setattr(synth, "_cpu_count", lambda: n_workers)
+        row_bytes = cfg.segment_length * 8
+        for window in estimation.WINDOWS:
+            tracemalloc.start()
+            try:
+                seg = q.transform(q.segment_and_select(ds), window, band=(100e3, 220e3))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert seg.n_kept == 12
+            band_bytes = sum(d.nbytes for d in seg.dfts.values())
+            # the band DFTs plus a few segment-sized buffers per worker;
+            # a full-grid transform of the kept rows alone is 12 rows per channel
+            assert peak <= band_bytes + 4 * n_workers * row_bytes, (window, peak)
 
 
 class TestPowerSpectrum:
