@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import synth
 from .errors import (
     ConfigError,
     DegenerateDenominator,
@@ -26,7 +27,6 @@ from .errors import (
     SingularCrossMatrix,
     TooFewSegments,
 )
-from . import synth
 from .synth import DataSet
 
 WINDOWS = ("rectangular", "hann")
