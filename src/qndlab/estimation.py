@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,23 +102,6 @@ class ResidualEstimate(SpectrumEstimate):
     half_stderr: tuple = ()
 
 
-def _on_pool(task, n: int) -> None:
-    """Run ``task(rows)`` on contiguous chunks of ``range(n)``, one per worker.
-
-    The pool is sized like ``synthesize``'s, to the process's CPU set.
-    Each task owns its scratch buffers and writes only its own rows, so
-    the result does not depend on the number of workers.
-    """
-    if n == 0:
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    n_workers = min(synth._cpu_count(), n)
-    with ThreadPoolExecutor(n_workers) as pool:
-        # list() re-raises a worker's exception here
-        list(pool.map(task, np.array_split(np.arange(n), n_workers)))
-
-
 def segment_and_select(
     ds: DataSet, peak_limit: float = 60.0, rms_limit: float = 25.0
 ) -> SegmentSet:
@@ -148,13 +132,12 @@ def segment_and_select(
     peaks = np.empty(n_seg)
     rms = np.empty(n_seg)
 
-    def stats(rows):
-        for i in rows:
-            x = segs["sum"][i]
-            peaks[i] = max(x.max(), -x.min())  # max |x| without an |x| copy
-            rms[i] = x.std()
+    def stats(i):
+        x = segs["sum"][i]
+        peaks[i] = max(x.max(), -x.min())  # max |x| without an |x| copy
+        rms[i] = x.std()
 
-    _on_pool(stats, n_seg)
+    synth._on_pool(stats, n_seg)
     kept = (peaks <= peak_limit) & (rms <= rms_limit)
     if kept.sum() < 4:
         raise TooFewSegments(
@@ -213,19 +196,22 @@ def transform(
         np.fft.rfft(x, out=full)
         out[:] = full[lo:hi]
 
-    def run(chunk):
-        buf = np.empty(length)
-        full = np.empty(len(freqs), dtype=complex)
-        for k in chunk:
-            i = rows[k]
-            for name, x in seg.segments.items():
-                band_dft(x[i], buf, full, dfts[name][k])
-            y = seg.segments["meter"][i]
-            sq = np.multiply(y, y, out=buf)
-            sq -= sq.mean()
-            band_dft(sq, buf, full, dfts["meter_squared"][k])
+    scratch = threading.local()  # one buf/full pair per worker thread
 
-    _on_pool(run, len(rows))
+    def run(k):
+        if not hasattr(scratch, "buf"):
+            scratch.buf = np.empty(length)
+            scratch.full = np.empty(len(freqs), dtype=complex)
+        buf, full = scratch.buf, scratch.full
+        i = rows[k]
+        for name, x in seg.segments.items():
+            band_dft(x[i], buf, full, dfts[name][k])
+        y = seg.segments["meter"][i]
+        sq = np.multiply(y, y, out=buf)
+        sq -= sq.mean()
+        band_dft(sq, buf, full, dfts["meter_squared"][k])
+
+    synth._on_pool(run, len(rows))
     return SegmentSet(
         segments=seg.segments,
         kept_mask=seg.kept_mask,

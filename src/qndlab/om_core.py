@@ -263,12 +263,11 @@ class PortCoefficients:
     arrays over the omega grid the set was evaluated on.
     """
 
-    omega: np.ndarray
     a: dict  # channel -> A array (vacuum) or coefficient array (classical)
     b: dict  # channel -> B array (vacuum channels only)
 
 
-def apply_losses_and_modematch(nu: dict, det: DetectionParams, omega) -> dict:
+def apply_losses_and_modematch(nu: dict, det: DetectionParams) -> dict:
     """Mix the bare output coefficients with loss and mode-match vacua.
 
     Takes the nu1..nu7 coefficient dict of the intracavity output field and
@@ -310,7 +309,7 @@ def apply_losses_and_modematch(nu: dict, det: DetectionParams, omega) -> dict:
             a.setdefault(ch, zeros)
             b.setdefault(ch, zeros)
         a[own_vacuum] = np.full_like(nu["nu1"], np.sqrt(1.0 - eta))
-        ports[port] = PortCoefficients(omega=omega, a=a, b=b)
+        ports[port] = PortCoefficients(a=a, b=b)
     return ports
 
 
@@ -327,4 +326,4 @@ def output_port_coefficients(
     if state is None:
         state = steady_state(system.mech, system.cavity, system.effective_drive())
     nu = transfer_coefficients(state, system.cavity, system.mech, omega)
-    return apply_losses_and_modematch(nu, system.det, omega)
+    return apply_losses_and_modematch(nu, system.det)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import mmap
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,14 +230,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _on_pool(task, n: int) -> None:
+    """Run ``task(i)`` for every ``i`` in ``range(n)`` on a thread pool.
+
+    The pool has one worker per CPU of the process, and a free worker
+    takes the next index.  Each task writes only its own rows, so the
+    result does not depend on the number of workers.
+    """
+    if n == 0:
+        return
+    from concurrent import futures
+
+    with futures.ThreadPoolExecutor(min(_cpu_count(), n)) as pool:
+        # list() re-raises a worker's exception here
+        list(pool.map(task, range(n)))
+
+
 def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
     """Generate a dataset whose second-order statistics match the model.
 
     Deterministic given (system, cfg): each piece draws from its own
-    substream spawned from the seed, so the pieces are generated on a
-    thread pool, one worker per CPU of the process, and the output does
-    not depend on the number of CPUs.  Placement and the continuous-mode
-    overlap-add run on the calling thread, in piece order.
+    substream spawned from the seed, and the worker that draws a piece
+    writes it into its rows of the channels, so the output does not depend
+    on the number of CPUs.
     """
     cfg.validate_band(system)
     tables, psd = _port_tables(system, cfg)
@@ -250,34 +264,25 @@ def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
     # sin half-windows at 50% overlap sum to unit power across joints
     window = np.sin(np.pi * (np.arange(length) + 0.5) / length)
     seqs = np.random.SeedSequence(cfg.seed).spawn(n_pieces)
-    if n_pieces:
-        from concurrent.futures import ThreadPoolExecutor
 
-        n_workers = min(_cpu_count(), n_pieces)
-        # submit a bounded window ahead of the consumer, so finished pieces
-        # cannot pile up in memory while an earlier one is still running
-        ahead = 2 * n_workers
-        with ThreadPoolExecutor(n_workers) as pool:
-            futures = deque(
-                pool.submit(_piece, system, cfg, tables, psd, seq)
-                for seq in seqs[:ahead]
-            )
-            for i in range(n_pieces):
-                piece = futures.popleft().result()
-                if i + ahead < n_pieces:
-                    futures.append(
-                        pool.submit(_piece, system, cfg, tables, psd, seqs[i + ahead])
-                    )
-                # adjacent continuous pieces overlap by half, so every write
-                # into the channels stays on this thread, in piece order
-                lo = i * half - half if cfg.continuous else i * length
-                a = max(lo, 0)
-                b = min(lo + length, n_total)
-                for name, x in zip(_CHANNEL_ORDER, piece):
-                    if cfg.continuous:
-                        chans[name][a:b] += (window * x)[a - lo : b - lo]
-                    else:
-                        chans[name][a:b] = x
+    def place(i):
+        lo = i * half - half if cfg.continuous else i * length
+        a = max(lo, 0)
+        b = min(lo + length, n_total)
+        for name, x in zip(_CHANNEL_ORDER, _piece(system, cfg, tables, psd, seqs[i])):
+            if cfg.continuous:
+                chans[name][a:b] += (window * x)[a - lo : b - lo]
+            else:
+                chans[name][a:b] = x
+
+    if cfg.continuous:
+        # piece i spans half-blocks i-1 and i, so the even pieces and then
+        # the odd ones write disjoint samples; each sample is 0 + a + b,
+        # the same in either order
+        _on_pool(lambda k: place(2 * k), cfg.n_segments + 1)
+        _on_pool(lambda k: place(2 * k + 1), cfg.n_segments)
+    else:
+        _on_pool(place, n_pieces)
     return DataSet(
         sum=chans["sum"],
         difference=chans["difference"],

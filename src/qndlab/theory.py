@@ -323,14 +323,11 @@ def noise_budget(
     if phi is None:
         phi = model.phi_s if port == "signal" else model.phi_m
     if not residual:
-        contributions = {}
-        total = np.zeros_like(model.omega)
-        for source, channels in SOURCE_GROUPS.items():
-            part = np.zeros_like(model.omega)
-            for ch in channels:
-                part += model.channel_contribution(port, ch, phi)
-            contributions[source] = part
-            total += part
+        contributions = {
+            source: model.quadrature_spectrum(port, phi, (source,))
+            for source in SOURCE_GROUPS
+        }
+        total = sum(contributions.values())
         return NoiseBudget(model.omega, total, contributions)
 
     contributions = {}

@@ -1,9 +1,13 @@
 """Shared fixtures: reference system and a small reusable synthetic dataset."""
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 
 import qndlab as q
+from qndlab import synth
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +48,20 @@ def white_dataset(sigma=1.0, n_segments=16, length=2**12, seed=0):
         meter=sigma * rng.standard_normal(n),
         config=cfg,
     )
+
+
+@contextlib.contextmanager
+def pool_workers(n):
+    """Run the CPU pool with ``n`` workers that switch threads every 1 us.
+
+    More workers than cores, switching often, interleave the tasks in
+    many orders, which shakes out any dependence on the schedule.
+    """
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "_cpu_count", lambda: n)
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)

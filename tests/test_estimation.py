@@ -2,7 +2,6 @@
 estimators, coherence, calibration, subtraction, banding, diagnostics."""
 
 import dataclasses
-import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +17,7 @@ from qndlab.errors import (
     SingularCrossMatrix,
     TooFewSegments,
 )
-from conftest import white_dataset
+from conftest import pool_workers, white_dataset
 
 
 def _white_segments(sigma=1.0, n_segments=16, length=2**12, seed=0):
@@ -166,7 +165,7 @@ class TestStreaming:
         spiked[20 * length + 7] = -500.0
         return dataclasses.replace(dataset, sum=spiked)
 
-    def test_matches_batched_rfft(self, small_dataset, monkeypatch):
+    def test_matches_batched_rfft(self, small_dataset):
         raw = q.segment_and_select(self._rejecting(small_dataset))
         assert raw.n_kept == len(raw.kept_mask) - 2
         kept = {name: x[raw.kept_mask] for name, x in raw.segments.items()}
@@ -201,14 +200,8 @@ class TestStreaming:
                     assert np.array_equal(a.stderr, b.stderr), (window, band)
                 # one worker, then more workers than cores with frequent switches
                 for n_workers in (1, 3):
-                    monkeypatch.setattr(synth, "_cpu_count", lambda n=n_workers: n)
-                    interval = sys.getswitchinterval()
-                    sys.setswitchinterval(1e-6)
-                    try:
+                    with pool_workers(n_workers):
                         again = q.transform(raw, window, band=band)
-                    finally:
-                        sys.setswitchinterval(interval)
-                    monkeypatch.undo()
                     for name in kept:
                         assert np.array_equal(again.dfts[name], seg.dfts[name])
 

@@ -391,7 +391,7 @@ class TestLossesAndModeMatching:
         det = dataclasses.replace(
             system.det, eta_meter=1.0, eta_signal=1.0, eta_modematch=1.0
         )
-        ports = q.apply_losses_and_modematch(nu, det, w)
+        ports = q.apply_losses_and_modematch(nu, det)
         for port in ("meter", "signal"):
             p = ports[port]
             np.testing.assert_allclose(p.a["a1"], nu["nu1"], rtol=1e-12)
@@ -408,7 +408,7 @@ class TestLossesAndModeMatching:
         w = np.linspace(0.9, 1.1, 8) * system.mech.omega_m
         nu = q.transfer_coefficients(st, system.cavity, system.mech, w)
         det = dataclasses.replace(system.det, eta_signal=0.0)
-        p = q.apply_losses_and_modematch(nu, det, w)["signal"]
+        p = q.apply_losses_and_modematch(nu, det)["signal"]
         np.testing.assert_allclose(p.a["a4"], 1.0, rtol=1e-12)
         for ch, arr in p.a.items():
             if ch != "a4":

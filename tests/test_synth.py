@@ -2,7 +2,7 @@
 
 import dataclasses
 import hashlib
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import pytest
 import qndlab as q
 from qndlab import synth, theory
 from qndlab.errors import ConfigError, FormatError
+from conftest import pool_workers
 
 
 class TestSynthConfig:
@@ -172,24 +173,45 @@ class TestParallelSynthesis:
                 segment_length=2**12, n_segments=6, seed=19, continuous=True,
                 spike_rate=1000.0, nonlinearity_lambda=2e-5,
             ),
+            # 3 pieces: two in the even pass, one in the odd pass
+            q.SynthConfig(
+                segment_length=2**12, n_segments=1, seed=23, continuous=True
+            ),
+            # 1 piece that writes no sample
+            q.SynthConfig(
+                segment_length=2**12, n_segments=0, seed=29, continuous=True
+            ),
         ],
-        ids=["plain-5", "continuous-spikes-nonlinear"],
+        ids=["plain-5", "continuous-spikes-nonlinear", "continuous-1", "continuous-0"],
     )
-    def test_bit_identical_to_serial_chain(self, system, cfg, monkeypatch):
+    def test_bit_identical_to_serial_chain(self, system, cfg):
         ref = _serial_synthesis(system, cfg)
-        # this process's CPUs, then more workers than cores with frequent
-        # thread switches
+        # this process's CPUs, then one worker, then more workers than
+        # cores with frequent thread switches
         got = [synth.synthesize(system, cfg)]
-        monkeypatch.setattr(synth, "_cpu_count", lambda: 3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got.append(synth.synthesize(system, cfg))
-        finally:
-            sys.setswitchinterval(interval)
+        for n_workers in (1, 3):
+            with pool_workers(n_workers):
+                got.append(synth.synthesize(system, cfg))
         for ds in got:
             for name, x in ref.items():
                 assert np.array_equal(ds.channel(name), x), name
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_worker_exception_propagates(self, system, continuous, monkeypatch):
+        piece = synth._piece
+
+        def failing(system, cfg, tables, psd, seq):
+            # piece 3 runs in the odd pass of a continuous stream
+            if seq.spawn_key == (3,):
+                raise RuntimeError("piece 3 failed")
+            return piece(system, cfg, tables, psd, seq)
+
+        monkeypatch.setattr(synth, "_piece", failing)
+        cfg = q.SynthConfig(
+            segment_length=2**12, n_segments=5, seed=17, continuous=continuous
+        )
+        with pool_workers(3), pytest.raises(RuntimeError, match="piece 3 failed"):
+            synth.synthesize(system, cfg)
 
 
     @pytest.mark.parametrize(
@@ -226,6 +248,32 @@ class TestParallelSynthesis:
             q.synthesize(system.vacuum_only() if vacuum_only else system, cfg), path
         )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_memory_bounded_per_worker(self, system):
+        cfg = q.SynthConfig(
+            segment_length=2**16, n_segments=16, seed=5, spike_rate=20.0,
+            nonlinearity_lambda=2e-5,
+        )
+        # untraced: the first call's one-off costs (imports, FFT set-up)
+        # are not synthesis memory
+        ref = synth.synthesize(system, cfg)
+        row_bytes = cfg.segment_length * 8
+        channel_bytes = 3 * cfg.n_segments * row_bytes
+        for n_workers in (1, 2, 3):
+            with pool_workers(n_workers):
+                tracemalloc.start()
+                try:
+                    ds = synth.synthesize(system, cfg)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            for name in ("sum", "difference", "meter"):
+                assert np.array_equal(ds.channel(name), ref.channel(name)), name
+            # each worker holds one piece in flight and writes it itself:
+            # about 15 rows for the first worker and 10 for each further one
+            assert peak - channel_bytes <= 16 * n_workers * row_bytes, (
+                n_workers, (peak - channel_bytes) / row_bytes,
+            )
 
 
 class TestDatasetIO:

@@ -9,6 +9,7 @@ import pytest
 import qndlab as q
 from qndlab import theory
 from qndlab.errors import ConfigError, DegenerateDenominator
+from qndlab.om_core import SOURCE_GROUPS
 
 TWO_PI = 2.0 * np.pi
 
@@ -327,10 +328,22 @@ class TestFullModel:
 
 class TestNoiseBudget:
     def test_additivity(self, system):
-        w = theory.default_omega_grid(system, n_points=512)
-        budget = theory.noise_budget(system, "signal", None, w)
-        total = sum(budget.contributions.values())
-        np.testing.assert_allclose(total, budget.total, rtol=1e-9)
+        w = theory.default_omega_grid(system, n_points=4096)
+        for sys_ in (system, system.vacuum_only()):
+            model = theory.SpectrumModel(sys_, w)
+            for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
+                budget = theory.noise_budget(sys_, port, None, w)
+                for source, channels in SOURCE_GROUPS.items():
+                    # each group is the sum of its channels' contributions,
+                    # added in order, bit for bit
+                    part = np.zeros_like(model.omega)
+                    for ch in channels:
+                        part += model.channel_contribution(port, ch, phi)
+                    assert np.array_equal(budget.contributions[source], part), (
+                        port, source,
+                    )
+                total = sum(budget.contributions.values())
+                assert np.array_equal(total, budget.total), port
 
     def test_inactive_sources_are_zero(self, system):
         w = theory.default_omega_grid(system, n_points=128)
