@@ -5,8 +5,9 @@ or plain text; plotting is left to external tools.
 
 Exit codes by error family:
   0  success
-  2  configuration (bad config file, unknown keys, bad flag values)
-  3  data input/output (missing or malformed dataset files)
+  2  configuration (bad config file, unknown keys, bad flag values, a run
+     config whose system or [synth] settings differ from the dataset's)
+  3  data input/output (missing or malformed dataset files, .qnd version 1)
   4  statistics (too few segments, singular systems, degenerate targets)
   5  model numerics (non-convergence, divergent susceptibility, domain)
 """
@@ -14,6 +15,7 @@ Exit codes by error family:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -71,6 +73,31 @@ def _write_csv(path, header, columns, config_hash=None):
 def _system(cfg: RunConfig, vacuum_only: bool):
     system = cfg.system()
     return system.vacuum_only() if vacuum_only else system
+
+
+def _read_dataset(cfg: RunConfig, path) -> synth.DataSet:
+    """Read the dataset at ``path``, rejecting a run config that did not make it.
+
+    The run config's system, or its vacuum-only variant, must hash to the
+    dataset's ``config_hash``, and its ``[synth]`` settings must equal the
+    header's; the seed is not compared.
+    """
+    ds = synth.read_dataset(path)
+    system = cfg.system()
+    if ds.config_hash not in (system.config_hash(), system.vacuum_only().config_hash()):
+        raise ConfigError(
+            f"{path}: the dataset's system hash {ds.config_hash} is not the run "
+            f"config's {system.config_hash()} (nor its vacuum-only variant's)"
+        )
+    run = cfg.synth_config(seed=ds.config.seed)
+    for f in dataclasses.fields(run):
+        have, want = getattr(ds.config, f.name), getattr(run, f.name)
+        if have != want:
+            raise ConfigError(
+                f"{path}: synthesized with {f.name} = {have!r}, "
+                f"but the run config gives {want!r}"
+            )
+    return ds
 
 
 def cmd_theory(cfg: RunConfig, args) -> int:
@@ -167,7 +194,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"--channels must be 'meter' or 'meter,meter_squared', got {args.channels!r}"
         )
-    analysis = analyze(synth.read_dataset(args.dataset), cfg)
+    analysis = analyze(_read_dataset(cfg, args.dataset), cfg)
     seg = analysis.seg
     res = residual(seg)
     res_n = analysis.normalized(res)
@@ -216,7 +243,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
-    p_sum = analyze(synth.read_dataset(args.dataset), cfg).spectrum_sum
+    p_sum = analyze(_read_dataset(cfg, args.dataset), cfg).spectrum_sum
     system = cfg.system()
     problem = fitting.FitProblem(
         system=system,

@@ -2,7 +2,8 @@
 
 ``analyze`` runs selection, the band-limited transform, the in-run
 shot-noise (SQL) calibration and the electronic-noise-subtracted sum
-spectrum, all with settings read from a ``RunConfig``.  The caller picks
+spectrum, with the ``[estimate]`` settings of a ``RunConfig`` and the
+electronic-noise level the dataset was synthesized with.  The caller picks
 the residual (single- or two-channel) and the banding width, and puts
 them in SQL units with ``Analysis.normalized``.
 """
@@ -51,7 +52,7 @@ def analyze(ds: DataSet, cfg: RunConfig) -> Analysis:
         cfg.get_float("estimate", "band_hi_hz"),
     )
     seg = estimation.transform(seg, window=cfg.get("estimate", "window"), band=band)
-    level = cfg.get_float("synth", "electronic_noise_level")
+    level = ds.config.electronic_noise_level
     electronic = SpectrumEstimate(
         frequencies=seg.frequencies,
         values=np.full_like(seg.frequencies, level),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import mmap
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .params import SystemParams
 from .theory import SpectrumModel
 
 _MAGIC = b"QNDL"
-_VERSION = 1
-_HEADER_KEYS = ("sample_rate_hz", "segment_length", "n_segments", "seed", "config_hash")
+_VERSION = 2
 _CHANNEL_ORDER = ("sum", "difference", "meter")
 
 
@@ -149,7 +148,7 @@ def _draw(rng, m):
     return z
 
 
-def _segment(system, cfg, tables, psd, rng):
+def _segment(cfg, tables, psd, rng):
     """One segment of (sum, difference, meter, zeta-part-of-meter).
 
     The zeta part feeds only the quadratic nonlinearity; it is None when
@@ -204,11 +203,11 @@ def _add_spikes(x, cfg, rng):
     return n_events
 
 
-def _piece(system, cfg, tables, psd, seq):
+def _piece(cfg, tables, psd, seq):
     """One piece's (sum, difference, meter), drawn from its own substream."""
     rng = np.random.default_rng(seq)
     length = cfg.segment_length
-    x_sum, x_diff, y_m, z_m = _segment(system, cfg, tables, psd, rng)
+    x_sum, x_diff, y_m, z_m = _segment(cfg, tables, psd, rng)
     if cfg.nonlinearity_lambda != 0.0:
         sq = z_m**2
         x_sum += cfg.nonlinearity_lambda * (sq - sq.mean())
@@ -269,7 +268,7 @@ def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
         lo = i * half - half if cfg.continuous else i * length
         a = max(lo, 0)
         b = min(lo + length, n_total)
-        for name, x in zip(_CHANNEL_ORDER, _piece(system, cfg, tables, psd, seqs[i])):
+        for name, x in zip(_CHANNEL_ORDER, _piece(cfg, tables, psd, seqs[i])):
             if cfg.continuous:
                 chans[name][a:b] += (window * x)[a - lo : b - lo]
             else:
@@ -293,47 +292,51 @@ def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
 
 
 def write_dataset(ds: DataSet, path) -> None:
-    """Write the binary dataset file (see the package data-format notes)."""
-    header = {
-        "sample_rate_hz": repr(ds.config.sample_rate),
-        "segment_length": str(ds.config.segment_length),
-        "n_segments": str(ds.config.n_segments),
-        "seed": str(ds.config.seed),
-        "config_hash": ds.config_hash,
-    }
+    """Write the binary dataset file (see the package data-format notes).
+
+    The header holds every ``SynthConfig`` field as ``name=repr(value)``,
+    so floats round-trip exactly, then the system's ``config_hash``.
+    """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes([_VERSION]))
-        for key in _HEADER_KEYS:
-            fh.write(f"{key}={header[key]}\n".encode("utf-8"))
-        fh.write(b"\n")
+        for f in fields(SynthConfig):
+            fh.write(f"{f.name}={getattr(ds.config, f.name)!r}\n".encode("utf-8"))
+        fh.write(f"config_hash={ds.config_hash}\n\n".encode("utf-8"))
         for name in _CHANNEL_ORDER:
             # the array's own buffer, without the copy tobytes() would make
             fh.write(memoryview(np.ascontiguousarray(ds.channel(name), dtype="<f8")))
 
 
 def read_dataset(path) -> DataSet:
-    """Read a dataset file; round-trips ``write_dataset`` bit-exactly."""
+    """Read a dataset file; round-trips ``write_dataset`` bit-exactly.
+
+    Any header that does not rebuild a valid ``SynthConfig`` (a version-1
+    file, a missing or unknown key, a value that does not parse or that
+    ``SynthConfig`` rejects) raises ``FormatError``.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
         version = fh.read(1)
         if len(version) != 1 or version[0] != _VERSION:
-            raise FormatError(f"unsupported version {version!r}")
+            raise FormatError(
+                f"unsupported version {version!r}, expected {_VERSION}; "
+                "re-run qndlab synth to write the current format"
+            )
         header = {}
-        while True:
-            line = _read_line(fh)
-            if line == "":
-                break
-            if "=" not in line:
+        while (line := fh.readline()) != b"\n":
+            if not line.endswith(b"\n"):
+                raise FormatError("unexpected end of file inside header")
+            key, sep, value = line[:-1].decode("utf-8", "replace").partition("=")
+            if not sep:
                 raise FormatError(f"malformed header line {line!r}")
-            key, value = line.split("=", 1)
+            if key in header:
+                raise FormatError(f"duplicate header key {key!r}")
             header[key] = value
-        missing = [k for k in _HEADER_KEYS if k not in header]
-        if missing:
-            raise FormatError(f"missing header keys {missing}")
-        n_total = int(header["segment_length"]) * int(header["n_segments"])
+        cfg = _header_config(header)
+        n_total = cfg.segment_length * cfg.n_segments
         expected = 3 * n_total * 8
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != expected:
@@ -343,12 +346,6 @@ def read_dataset(path) -> DataSet:
             )
         # one read into one array; the channels are views of it
         data = np.fromfile(fh, dtype="<f8", count=3 * n_total)
-    cfg = SynthConfig(
-        sample_rate=float(header["sample_rate_hz"]),
-        segment_length=int(header["segment_length"]),
-        n_segments=int(header["n_segments"]),
-        seed=int(header["seed"]),
-    )
     return DataSet(
         sum=data[:n_total],
         difference=data[n_total : 2 * n_total],
@@ -358,12 +355,27 @@ def read_dataset(path) -> DataSet:
     )
 
 
-def _read_line(fh) -> str:
-    out = bytearray()
-    while True:
-        b = fh.read(1)
-        if b == b"":
-            raise FormatError("unexpected end of file inside header")
-        if b == b"\n":
-            return out.decode("utf-8")
-        out += b
+# header value parsers by the type of a SynthConfig field's default
+_PARSE = {bool: {"True": True, "False": False}.__getitem__, int: int, float: float}
+
+
+def _header_config(header: dict) -> SynthConfig:
+    """The ``SynthConfig`` a version-2 header records."""
+    keys = [f.name for f in fields(SynthConfig)] + ["config_hash"]
+    missing = [k for k in keys if k not in header]
+    unknown = [k for k in header if k not in keys]
+    if missing or unknown:
+        raise FormatError(f"header keys: missing {missing}, unknown {unknown}")
+    values = {}
+    for f in fields(SynthConfig):
+        kind = type(f.default)
+        try:
+            values[f.name] = _PARSE[kind](header[f.name])
+        except (KeyError, ValueError):
+            raise FormatError(
+                f"header {f.name}={header[f.name]!r} does not parse as {kind.__name__}"
+            ) from None
+    try:
+        return SynthConfig(**values)
+    except ConfigError as exc:
+        raise FormatError(f"header: {exc}") from None

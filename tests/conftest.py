@@ -50,6 +50,14 @@ def white_dataset(sigma=1.0, n_segments=16, length=2**12, seed=0):
     )
 
 
+def rewrite_qnd(src, dst, version, edit):
+    """Copy a .qnd file with another version byte and its header text edited."""
+    raw = src.read_bytes()
+    end = raw.index(b"\n\n")  # the empty line that closes the header
+    header = edit(raw[5 : end + 1].decode())
+    dst.write_bytes(b"QNDL" + bytes([version]) + header.encode() + raw[end + 1 :])
+
+
 @contextlib.contextmanager
 def pool_workers(n):
     """Run the CPU pool with ``n`` workers that switch threads every 1 us.

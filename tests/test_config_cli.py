@@ -15,6 +15,7 @@ import qndlab as q
 from qndlab import cli
 from qndlab.config import default_config_text, load_config
 from qndlab.errors import ConfigError
+from conftest import rewrite_qnd
 
 TWO_PI = 2.0 * np.pi
 
@@ -309,6 +310,73 @@ class TestCliErrorFamilies:
                        "--config", str(cfg), "--out", str(tmp_path / "est")])
         assert rc == 2
         assert not (tmp_path / "est" / "report.txt").exists()
+
+
+# Run configs that differ from SMALL_CFG in one [synth] value or in the
+# system, keyed by what the error message names.
+MISMATCHED = {
+    "electronic_noise_level": SMALL_CFG.replace(
+        "[synth]\n", "[synth]\nelectronic_noise_level = 0.3\n", 1
+    ),
+    "system hash": SMALL_CFG + "\n[system]\ndetuning_kappa = -0.019\n",
+}
+
+
+@pytest.fixture(scope="module")
+def small_qnd(tmp_path_factory):
+    """A SMALL_CFG dataset at seed 3 (the config's own seed is 0)."""
+    out = tmp_path_factory.mktemp("small")
+    cfg = out / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(out),
+                     "--seed", "3"]) == 0
+    return out / "dataset.qnd"
+
+
+def _v1_header(header):
+    """The version-1 header: five of the keys, the sample rate renamed."""
+    lines = dict(line.split("=", 1) for line in header.splitlines())
+    keys = ("sample_rate", "segment_length", "n_segments", "seed", "config_hash")
+    return "".join(
+        f"{'sample_rate_hz' if k == 'sample_rate' else k}={lines[k]}\n" for k in keys
+    )
+
+
+class TestDatasetMatchesConfig:
+    def _run(self, command, dataset, text, out):
+        cfg = out / "run.cfg"
+        cfg.write_text(text)
+        return cli.main([command, str(dataset), "--config", str(cfg),
+                         "--out", str(out)])
+
+    @pytest.mark.parametrize("command", ["estimate", "fit"])
+    @pytest.mark.parametrize("name", sorted(MISMATCHED))
+    def test_mismatch_exit_2(self, small_qnd, tmp_path, capsys, command, name):
+        assert self._run(command, small_qnd, MISMATCHED[name], tmp_path) == 2
+        assert name in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_seed_is_not_compared(self, small_qnd, tmp_path):
+        assert self._run("estimate", small_qnd, SMALL_CFG, tmp_path) == 0
+
+    def test_vacuum_only_dataset(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        assert cli.main(["synth", "--vacuum-only", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+        assert self._run("estimate", tmp_path / "dataset.qnd", SMALL_CFG,
+                         tmp_path) == 0
+
+    @pytest.mark.parametrize("version, edit", [
+        (1, _v1_header),
+        (2, lambda h: h.replace("segment_length=16384", "segment_length=abcde")),
+        (2, lambda h: h.replace("sample_rate=5000000.0", "sample_rate=-5000000.0")),
+    ], ids=["version-1", "unparsable", "rejected"])
+    def test_bad_header_exit_3(self, small_qnd, tmp_path, version, edit):
+        path = tmp_path / "bad.qnd"
+        rewrite_qnd(small_qnd, path, version, edit)
+        assert path.read_bytes() != small_qnd.read_bytes()
+        assert self._run("estimate", path, SMALL_CFG, tmp_path) == 3
 
 
 # Runs `python -m qndlab.cli` (runpy is what -m uses) for synth and then

@@ -1,20 +1,21 @@
 """qndlab.pipeline.analyze against the call chain it stands for."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import qndlab as q
 
 # Seed 2 puts spike bursts into segments 0, 1 and 7 (sum-channel peak/rms
-# 102.8/43.4, 105.8/29.0 and 97.9/19.0 SQL units; the clean segments stay
-# below 14/5).  The defaults (60/25) reject all three; the custom limits
-# (110/35) keep 1 and 7 and reject 0, and either custom limit alone keeps
-# a different set, so each limit is seen to come from the config.
+# 102.8/43.4, 105.8/29.0 and 97.9/19.0 SQL units at either electronic
+# level; the clean segments stay below 14/5).  The defaults (60/25) reject
+# all three; the custom limits (110/35) keep 1 and 7 and reject 0, and
+# either custom limit alone keeps a different set, so each limit is seen
+# to come from the config.
 SPIKED = q.SynthConfig(segment_length=2**14, n_segments=12, seed=2, spike_rate=80.0)
 
 CUSTOM = """
-[synth]
-electronic_noise_level = 0.01
 [estimate]
 peak_limit = 110.0
 rms_limit = 35.0
@@ -34,8 +35,12 @@ CASES = {
 
 
 @pytest.fixture(scope="module")
-def dataset(system):
-    return q.synthesize(system, SPIKED)
+def datasets(system):
+    """SPIKED at each case's electronic level, which analyze reads from the data."""
+    return {
+        case: q.synthesize(system, replace(SPIKED, electronic_noise_level=s["level"]))
+        for case, (_, s) in CASES.items()
+    }
 
 
 def _reference(ds, peak_limit, rms_limit, window, band, level, analysis_freq):
@@ -64,10 +69,10 @@ def _assert_same_estimate(got, want):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_analyze_equals_explicit_chain(dataset, case):
+def test_analyze_equals_explicit_chain(datasets, case):
     text, settings = CASES[case]
-    a = q.analyze(dataset, q.load_config(text=text))
-    seg, elec, sql, cal, s_sum, res = _reference(dataset, **settings)
+    a = q.analyze(datasets[case], q.load_config(text=text))
+    seg, elec, sql, cal, s_sum, res = _reference(datasets[case], **settings)
     np.testing.assert_array_equal(a.seg.kept_mask, seg.kept_mask)
     assert a.seg.window == seg.window
     assert sorted(a.seg.dfts) == sorted(seg.dfts)
@@ -80,12 +85,14 @@ def test_analyze_equals_explicit_chain(dataset, case):
     _assert_same_estimate(a.normalized(q.residual_single(a.seg)), res)
 
 
-def test_every_setting_reaches_the_analysis(dataset):
-    base = q.analyze(dataset, q.load_config(text=""))
-    custom = q.analyze(dataset, q.load_config(text=CUSTOM))
+def test_every_setting_reaches_the_analysis(datasets):
+    base = q.analyze(datasets["defaults"], q.load_config(text=""))
+    custom = q.analyze(datasets["custom"], q.load_config(text=CUSTOM))
     assert base.seg.n_kept == 9 and custom.seg.n_kept == 11
     for peak, rms in ((110.0, 25.0), (60.0, 35.0)):
-        one_limit = q.segment_and_select(dataset, peak_limit=peak, rms_limit=rms)
+        one_limit = q.segment_and_select(
+            datasets["custom"], peak_limit=peak, rms_limit=rms
+        )
         assert not np.array_equal(one_limit.kept_mask, custom.seg.kept_mask)
     assert custom.seg.window == "hann"
     f = custom.seg.frequencies

@@ -10,7 +10,7 @@ import pytest
 import qndlab as q
 from qndlab import synth, theory
 from qndlab.errors import ConfigError, FormatError
-from conftest import pool_workers
+from conftest import pool_workers, rewrite_qnd
 
 
 class TestSynthConfig:
@@ -132,7 +132,7 @@ def _serial_synthesis(system, cfg):
     seqs = np.random.SeedSequence(cfg.seed).spawn(n_pieces)
     for i, seq in enumerate(seqs):
         rng = np.random.default_rng(seq)
-        x_sum, x_diff, y_m, z_m = synth._segment(system, cfg, tables, psd, rng)
+        x_sum, x_diff, y_m, z_m = synth._segment(cfg, tables, psd, rng)
         if cfg.nonlinearity_lambda != 0.0:
             sq = z_m**2
             x_sum += cfg.nonlinearity_lambda * (sq - sq.mean())
@@ -200,11 +200,11 @@ class TestParallelSynthesis:
     def test_worker_exception_propagates(self, system, continuous, monkeypatch):
         piece = synth._piece
 
-        def failing(system, cfg, tables, psd, seq):
+        def failing(cfg, tables, psd, seq):
             # piece 3 runs in the odd pass of a continuous stream
             if seq.spawn_key == (3,):
                 raise RuntimeError("piece 3 failed")
-            return piece(system, cfg, tables, psd, seq)
+            return piece(cfg, tables, psd, seq)
 
         monkeypatch.setattr(synth, "_piece", failing)
         cfg = q.SynthConfig(
@@ -220,7 +220,7 @@ class TestParallelSynthesis:
             (
                 False,
                 q.SynthConfig(segment_length=2**12, n_segments=5, seed=17),
-                "479ded0ba2a296e7a041dcbada72aa8886c937fcf112596b7ed5c3617ce8ea75",
+                "14c1cc996f561566c6e546757cf5c3df751df386458696f9caad1a197cd0d1ce",
             ),
             (
                 False,
@@ -228,7 +228,7 @@ class TestParallelSynthesis:
                     segment_length=2**12, n_segments=6, seed=19, continuous=True,
                     spike_rate=1000.0, nonlinearity_lambda=2e-5,
                 ),
-                "3b6ed397217bef89c2ca675624b29fab3c981d7a48f509cdd9eebd7e01df32cc",
+                "6a861901cb6aa632d3ee0261f14bb4f1ac5821d037c986079e9e9f8c5d440212",
             ),
             (
                 True,
@@ -236,7 +236,7 @@ class TestParallelSynthesis:
                     segment_length=2**12, n_segments=4, seed=3,
                     nonlinearity_lambda=1e-5,
                 ),
-                "dd8367498364450e8ca1b045f282ab9d13ca3790b2e85486c3f81e95b9c4d637",
+                "c4e086cc9a97557a66d334b7a5a48b73731a99625009debe93199254dfd23b63",
             ),
         ],
         ids=["plain-5", "continuous-spikes-nonlinear", "vacuum-only-nonlinear"],
@@ -277,16 +277,64 @@ class TestParallelSynthesis:
 
 
 class TestDatasetIO:
-    def test_round_trip_bit_exact(self, small_dataset, tmp_path):
+    def test_round_trip_bit_exact(self, system, tmp_path):
+        # every field off its default, floats that need all 17 digits
+        cfg = q.SynthConfig(
+            sample_rate=4e6 + 0.1, segment_length=2**12, n_segments=3, seed=5,
+            electronic_noise_level=10.0 ** (-1.7), nonlinearity_lambda=2e-5,
+            spike_rate=300.0, spike_amplitude=50.0, common_mode_leak_db=-30.0,
+            continuous=True,
+        )
+        default = q.SynthConfig()
+        assert all(
+            getattr(cfg, f.name) != getattr(default, f.name)
+            for f in dataclasses.fields(cfg)
+        )
+        ds = q.synthesize(system, cfg)
         path = tmp_path / "ds.qnd"
-        q.write_dataset(small_dataset, path)
+        q.write_dataset(ds, path)
         back = q.read_dataset(path)
-        assert np.array_equal(back.sum, small_dataset.sum)
-        assert np.array_equal(back.difference, small_dataset.difference)
-        assert np.array_equal(back.meter, small_dataset.meter)
-        assert back.config_hash == small_dataset.config_hash
+        assert back.config == cfg
+        assert np.array_equal(back.sum, ds.sum)
+        assert np.array_equal(back.difference, ds.difference)
+        assert np.array_equal(back.meter, ds.meter)
+        assert back.config_hash == ds.config_hash
         for name in ("sum", "difference", "meter"):
             assert back.channel(name).flags.writeable
+
+    def test_header_lists_every_field(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.qnd"
+        q.write_dataset(small_dataset, path)
+        raw = path.read_bytes()
+        header = raw[5 : raw.index(b"\n\n")].decode()
+        keys = [line.split("=", 1)[0] for line in header.splitlines()]
+        assert keys == [f.name for f in dataclasses.fields(q.SynthConfig)] + [
+            "config_hash"
+        ]
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("segment_length=16384", "segment_length=abcde", "does not parse as int"),
+            ("sample_rate=5000000.0", "sample_rate=-5000000.0", "sample_rate"),
+            ("continuous=False", "continuous=false", "does not parse as bool"),
+            ("seed=11\n", "", r"missing \['seed'\]"),
+            ("seed=11\n", "seed=11\nwindow=hann\n", r"unknown \['window'\]"),
+            ("seed=11\n", "seed=11\nseed=12\n", "duplicate"),
+        ],
+        ids=["unparsable", "rejected", "bool", "missing", "unknown", "duplicate"],
+    )
+    def test_bad_header_value(self, small_dataset, tmp_path, old, new, match):
+        path = tmp_path / "ds.qnd"
+        q.write_dataset(small_dataset, path)
+
+        def edit(header):
+            assert old in header
+            return header.replace(old, new)
+
+        rewrite_qnd(path, path, 2, edit)
+        with pytest.raises(FormatError, match=match):
+            q.read_dataset(path)
 
     def test_truncated_file_names_byte_counts(self, small_dataset, tmp_path):
         path = tmp_path / "ds.qnd"
