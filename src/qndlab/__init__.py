@@ -14,9 +14,11 @@ from .errors import (
     FormatError,
     GridMismatch,
     InsufficientBand,
+    ModelError,
     NonConvergence,
     QndError,
     SingularCrossMatrix,
+    StatisticsError,
     TooFewSegments,
 )
 from .params import (

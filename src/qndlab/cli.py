@@ -3,13 +3,14 @@
 Subcommands: theory, synth, estimate, fit, budget.  All outputs are CSV
 or plain text; plotting is left to external tools.
 
-Exit codes by error family:
+Exit codes, carried by the error families of ``errors``:
   0  success
-  2  configuration (bad config file, unknown keys, bad flag values, a run
-     config whose system or [synth] settings differ from the dataset's)
-  3  data input/output (missing or malformed dataset files, .qnd version 1)
-  4  statistics (too few segments, singular systems, degenerate targets)
-  5  model numerics (non-convergence, divergent susceptibility, domain)
+  2  ConfigError: bad config file, key, flag or [synth] value, a run config
+     that did not make the dataset, ``fit`` on a vacuum-only dataset
+  3  FormatError or OSError: missing or malformed dataset file
+  4  StatisticsError: too few segments, singular systems, degenerate targets
+  5  ModelError: non-convergence, divergent susceptibility, domain
+Any other exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -23,42 +24,8 @@ import numpy as np
 
 from . import estimation, fitting, synth, theory
 from .config import RunConfig, default_config_text, load_config
-from .errors import (
-    ConfigError,
-    DegenerateDenominator,
-    DegenerateTarget,
-    DivergentSusceptibility,
-    DomainError,
-    FormatError,
-    GridMismatch,
-    InsufficientBand,
-    NonConvergence,
-    SingularCrossMatrix,
-    TooFewSegments,
-)
+from .errors import ConfigError, QndError
 from .pipeline import analyze
-
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_STATS = 4
-EXIT_MODEL = 5
-
-_ERROR_FAMILIES = (
-    (EXIT_CONFIG, (ConfigError,)),
-    (EXIT_IO, (FormatError, OSError)),
-    (
-        EXIT_STATS,
-        (
-            TooFewSegments,
-            SingularCrossMatrix,
-            DegenerateDenominator,
-            GridMismatch,
-            InsufficientBand,
-            DegenerateTarget,
-        ),
-    ),
-    (EXIT_MODEL, (NonConvergence, DivergentSusceptibility, DomainError)),
-)
 
 
 def _write_csv(path, header, columns, config_hash=None):
@@ -75,19 +42,25 @@ def _system(cfg: RunConfig, vacuum_only: bool):
     return system.vacuum_only() if vacuum_only else system
 
 
-def _read_dataset(cfg: RunConfig, path) -> synth.DataSet:
+def _read_dataset(cfg: RunConfig, path, vacuum_only_ok: bool) -> synth.DataSet:
     """Read the dataset at ``path``, rejecting a run config that did not make it.
 
-    The run config's system, or its vacuum-only variant, must hash to the
-    dataset's ``config_hash``, and its ``[synth]`` settings must equal the
-    header's; the seed is not compared.
+    The run config's system, or its vacuum-only variant if
+    ``vacuum_only_ok``, must hash to the dataset's ``config_hash``, and its
+    ``[synth]`` settings must equal the header's; the seed is not compared.
     """
     ds = synth.read_dataset(path)
     system = cfg.system()
-    if ds.config_hash not in (system.config_hash(), system.vacuum_only().config_hash()):
+    driven = system.config_hash()
+    if ds.config_hash not in (driven, system.vacuum_only().config_hash()):
         raise ConfigError(
             f"{path}: the dataset's system hash {ds.config_hash} is not the run "
-            f"config's {system.config_hash()} (nor its vacuum-only variant's)"
+            f"config's {driven} (nor its vacuum-only variant's)"
+        )
+    if ds.config_hash != driven and not vacuum_only_ok:
+        raise ConfigError(
+            f"{path}: the dataset is vacuum-only (synth --vacuum-only), "
+            "which carries no drive to fit"
         )
     run = cfg.synth_config(seed=ds.config.seed)
     for f in dataclasses.fields(run):
@@ -194,7 +167,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"--channels must be 'meter' or 'meter,meter_squared', got {args.channels!r}"
         )
-    analysis = analyze(_read_dataset(cfg, args.dataset), cfg)
+    analysis = analyze(_read_dataset(cfg, args.dataset, vacuum_only_ok=True), cfg)
     seg = analysis.seg
     res = residual(seg)
     res_n = analysis.normalized(res)
@@ -243,7 +216,9 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
-    p_sum = analyze(_read_dataset(cfg, args.dataset), cfg).spectrum_sum
+    p_sum = analyze(
+        _read_dataset(cfg, args.dataset, vacuum_only_ok=False), cfg
+    ).spectrum_sum
     system = cfg.system()
     problem = fitting.FitProblem(
         system=system,
@@ -321,17 +296,15 @@ def main(argv=None) -> int:
         return 0
     if args.command is None:
         parser.print_help()
-        return EXIT_CONFIG
+        return ConfigError.exit_code
     try:
         cfg = load_config(path=args.config) if args.config else load_config(text="")
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args)
-    except Exception as exc:  # map to documented exit families
-        for code, types in _ERROR_FAMILIES:
-            if isinstance(exc, types):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise
+    except (QndError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # a file that cannot be read exits as a malformed one does
+        return exc.exit_code if isinstance(exc, QndError) else 3
 
 
 if __name__ == "__main__":

@@ -46,9 +46,6 @@ DEFAULTS = {
         "eta_meter": "0.03",
         "eta_signal": "0.69",
         "eta_modematch": "0.90",
-        "phi0_rad": "0.0",
-        "p_cavity_arm_w": "36.5e-3",
-        "p_reference_arm_w": "6e-6",
         "thermal_force_scaling": "flat",
         "excess_noise_ref_power_w": "24e-3",
     },
@@ -151,9 +148,6 @@ class RunConfig:
             eta_meter=g("system", "eta_meter"),
             eta_signal=g("system", "eta_signal"),
             eta_modematch=g("system", "eta_modematch"),
-            phi0=g("system", "phi0_rad"),
-            p_cavity_arm=g("system", "p_cavity_arm_w"),
-            p_reference_arm=g("system", "p_reference_arm_w"),
         )
         return SystemParams(
             mech=mech,

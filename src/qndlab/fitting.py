@@ -492,7 +492,10 @@ def fit(problem: FitProblem) -> FitResult:
     target = np.asarray(problem.target, dtype=float)[sel]
     stderr = np.asarray(problem.stderr, dtype=float)[sel]
     if np.any(target <= 0):
-        raise ConfigError("log-spectral fit needs positive target values")
+        raise DegenerateTarget(
+            f"log-spectral fit needs positive target values, but "
+            f"{np.count_nonzero(target <= 0)} of {target.size} in the band are not"
+        )
     good = stderr > 0
     weights_raw = np.zeros_like(target)
     weights_raw[good] = (target[good] / stderr[good]) ** 2

@@ -162,7 +162,8 @@ class DetectionParams:
     eta_meter: float
     eta_signal: float
     eta_modematch: float
-    # equal to config.DEFAULTS (a test checks); config_hash pins the field order
+    # lock-phase inputs, which no config key sets (the config's signal
+    # phase overrides the lock); config_hash pins the field order
     phi0: float = 0.0
     p_cavity_arm: float = 36.5e-3
     p_reference_arm: float = 6e-6

@@ -39,7 +39,7 @@ class SynthConfig:
     channel (power ratio, dB); the leaked oscillator peak is the remnant
     a balanced receiver with finite rejection shows.  ``continuous``
     cross-fades half-overlapped windowed pieces instead of emitting
-    independent periodic segments.
+    independent periodic segments.  Every float setting must be finite.
     """
 
     sample_rate: float = 5e6
@@ -54,6 +54,10 @@ class SynthConfig:
     continuous: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.segment_length < 2 or self.segment_length % 2:
             raise ConfigError("segment_length must be an even count >= 2")
         # keep the transform fast: only small prime factors
@@ -313,7 +317,8 @@ def read_dataset(path) -> DataSet:
 
     Any header that does not rebuild a valid ``SynthConfig`` (a version-1
     file, a missing or unknown key, a value that does not parse or that
-    ``SynthConfig`` rejects) raises ``FormatError``.
+    ``SynthConfig`` rejects) raises ``FormatError``, as does a payload of
+    the wrong size or holding a non-finite sample.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -346,13 +351,16 @@ def read_dataset(path) -> DataSet:
             )
         # one read into one array; the channels are views of it
         data = np.fromfile(fh, dtype="<f8", count=3 * n_total)
-    return DataSet(
-        sum=data[:n_total],
-        difference=data[n_total : 2 * n_total],
-        meter=data[2 * n_total :],
-        config=cfg,
-        config_hash=header["config_hash"],
-    )
+    try:
+        return DataSet(
+            sum=data[:n_total],
+            difference=data[n_total : 2 * n_total],
+            meter=data[2 * n_total :],
+            config=cfg,
+            config_hash=header["config_hash"],
+        )
+    except ConfigError as exc:  # non-finite samples in the payload
+        raise FormatError(f"payload: {exc}") from None
 
 
 # header value parsers by the type of a SynthConfig field's default

@@ -14,7 +14,7 @@ import pytest
 import qndlab as q
 from qndlab import cli
 from qndlab.config import default_config_text, load_config
-from qndlab.errors import ConfigError
+from qndlab.errors import ConfigError, QndError
 from conftest import rewrite_qnd
 
 TWO_PI = 2.0 * np.pi
@@ -161,9 +161,6 @@ class TestDuplicatedDefaults:
         "cls, name, key",
         [
             (q.DriveParams, "excess_noise_ref_power", "excess_noise_ref_power_w"),
-            (q.DetectionParams, "phi0", "phi0_rad"),
-            (q.DetectionParams, "p_cavity_arm", "p_cavity_arm_w"),
-            (q.DetectionParams, "p_reference_arm", "p_reference_arm_w"),
         ],
     )
     def test_params_field_defaults(self, cls, name, key):
@@ -238,7 +235,52 @@ class TestCliCommands:
         assert (tmp_path / "fit_curves.csv").exists()
 
 
+# The documented exit code of every error class, by name; a class missing
+# here fails its case.
+EXIT_CODES = {
+    "OSError": 3,
+    "ConfigError": 2,
+    "FormatError": 3,
+    "StatisticsError": 4,
+    "TooFewSegments": 4,
+    "SingularCrossMatrix": 4,
+    "DegenerateDenominator": 4,
+    "GridMismatch": 4,
+    "InsufficientBand": 4,
+    "DegenerateTarget": 4,
+    "ModelError": 5,
+    "NonConvergence": 5,
+    "DivergentSusceptibility": 5,
+    "DomainError": 5,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 class TestCliErrorFamilies:
+    @pytest.mark.parametrize(
+        "exc_type", [*_subclasses(QndError), OSError], ids=lambda c: c.__name__
+    )
+    def test_exit_code_of_every_error(self, tmp_path, monkeypatch, exc_type):
+        def command(cfg, args):
+            raise exc_type("raised inside the command")
+
+        monkeypatch.setitem(cli._COMMANDS, "theory", command)
+        rc = cli.main(["theory", "--out", str(tmp_path)])
+        assert rc == EXIT_CODES[exc_type.__name__]
+
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
+        def command(cfg, args):
+            raise ZeroDivisionError("not a package error")
+
+        monkeypatch.setitem(cli._COMMANDS, "theory", command)
+        with pytest.raises(ZeroDivisionError):
+            cli.main(["theory", "--out", str(tmp_path)])
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[system]\nnope = 1\n")
@@ -255,6 +297,13 @@ class TestCliErrorFamilies:
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 3
 
+    def test_non_finite_payload_exit_3(self, small_qnd, tmp_path, capsys):
+        bad = tmp_path / "nan.qnd"
+        nan = np.array([np.nan], dtype="<f8").tobytes()
+        bad.write_bytes(small_qnd.read_bytes()[:-8] + nan)  # the last meter sample
+        assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 3
+        assert "non-finite samples in meter channel" in capsys.readouterr().err
+
     def test_all_segments_spiked_exit_4(self, tmp_path, system):
         cfg = q.SynthConfig(segment_length=2**13, n_segments=8, seed=1)
         ds = q.synthesize(system, cfg)
@@ -268,6 +317,22 @@ class TestCliErrorFamilies:
         rc = cli.main(["estimate", str(path), "--config", str(small),
                        "--out", str(tmp_path)])
         assert rc == 4
+
+    def test_floored_fit_target_exit_4(self, tmp_path, capsys):
+        # electronic noise far above the signal: its subtraction floors
+        # sum-spectrum bins in the fit band to zero
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[synth]\nsegment_length = 16384\nn_segments = 4\n"
+            "electronic_noise_level = 10\n"
+            "[estimate]\npeak_limit = 1e9\nrms_limit = 1e9\n"
+        )
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path),
+                         "--seed", "1"]) == 0
+        rc = cli.main(["fit", str(tmp_path / "dataset.qnd"), "--config", str(cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 4
+        assert "positive target values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "dataset.qnd", "--seed", "1"],
@@ -289,6 +354,9 @@ class TestCliErrorFamilies:
         ("estimate", "channels", "meter,meter_squared"),
         ("run", "out_dir", "."),
         ("run", "workers", "1"),
+        ("system", "phi0_rad", "0.3"),
+        ("system", "p_cavity_arm_w", "36.5e-3"),
+        ("system", "p_reference_arm_w", "1e-5"),
     ])
     def test_removed_config_key_exit_2(self, tmp_path, section, key, value):
         cfg = tmp_path / "old.cfg"
@@ -359,13 +427,18 @@ class TestDatasetMatchesConfig:
     def test_seed_is_not_compared(self, small_qnd, tmp_path):
         assert self._run("estimate", small_qnd, SMALL_CFG, tmp_path) == 0
 
-    def test_vacuum_only_dataset(self, tmp_path):
+    def test_vacuum_only_dataset(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_CFG)
         assert cli.main(["synth", "--vacuum-only", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 0
         assert self._run("estimate", tmp_path / "dataset.qnd", SMALL_CFG,
                          tmp_path) == 0
+        fit_out = tmp_path / "fit"
+        fit_out.mkdir()
+        assert self._run("fit", tmp_path / "dataset.qnd", SMALL_CFG, fit_out) == 2
+        assert "vacuum-only" in capsys.readouterr().err
+        assert sorted(p.name for p in fit_out.iterdir()) == ["run.cfg"]
 
     @pytest.mark.parametrize("version, edit", [
         (1, _v1_header),

@@ -28,6 +28,15 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             q.SynthConfig(spike_rate=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [
+        "sample_rate", "electronic_noise_level", "nonlinearity_lambda",
+        "spike_rate", "spike_amplitude", "common_mode_leak_db",
+    ])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            q.SynthConfig(**{name: value})
+
     def test_band_validation(self, system):
         q.SynthConfig(sample_rate=5e6).validate_band(system)
         with pytest.raises(ConfigError):
@@ -317,12 +326,14 @@ class TestDatasetIO:
         [
             ("segment_length=16384", "segment_length=abcde", "does not parse as int"),
             ("sample_rate=5000000.0", "sample_rate=-5000000.0", "sample_rate"),
+            ("spike_rate=0.0", "spike_rate=nan", "spike_rate must be finite"),
             ("continuous=False", "continuous=false", "does not parse as bool"),
             ("seed=11\n", "", r"missing \['seed'\]"),
             ("seed=11\n", "seed=11\nwindow=hann\n", r"unknown \['window'\]"),
             ("seed=11\n", "seed=11\nseed=12\n", "duplicate"),
         ],
-        ids=["unparsable", "rejected", "bool", "missing", "unknown", "duplicate"],
+        ids=["unparsable", "rejected", "non-finite", "bool", "missing", "unknown",
+             "duplicate"],
     )
     def test_bad_header_value(self, small_dataset, tmp_path, old, new, match):
         path = tmp_path / "ds.qnd"
