@@ -59,7 +59,15 @@ from .theory import (
     residual_spectrum_theory,
     simple_residual_spectrum,
 )
-from .synth import DataSet, SynthConfig, read_dataset, synthesize, write_dataset
+from .synth import (
+    DataSet,
+    QndFile,
+    SynthConfig,
+    read_dataset,
+    synthesize,
+    synthesize_file,
+    write_dataset,
+)
 from .estimation import (
     ResidualEstimate,
     SegmentSet,

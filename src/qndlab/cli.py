@@ -25,7 +25,7 @@ import numpy as np
 from . import estimation, fitting, synth, theory
 from .config import RunConfig, default_config_text, load_config
 from .errors import ConfigError, QndError
-from .pipeline import analyze
+from .pipeline import Analysis, analyze
 
 
 def _write_csv(path, header, columns, config_hash=None):
@@ -42,14 +42,17 @@ def _system(cfg: RunConfig, vacuum_only: bool):
     return system.vacuum_only() if vacuum_only else system
 
 
-def _read_dataset(cfg: RunConfig, path, vacuum_only_ok: bool) -> synth.DataSet:
-    """Read the dataset at ``path``, rejecting a run config that did not make it.
+def _analyze_dataset(cfg: RunConfig, path, vacuum_only_ok: bool) -> Analysis:
+    """Analyze the dataset file at ``path``, rejecting a run config that did not make it.
 
-    The run config's system, or its vacuum-only variant if
-    ``vacuum_only_ok``, must hash to the dataset's ``config_hash``, and its
-    ``[synth]`` settings must equal the header's; the seed is not compared.
+    The file is read as the analysis goes, a segment at a time, so its
+    selection pass is what finds a non-finite sample (exit 3).  Then the run
+    config's system, or its vacuum-only variant if ``vacuum_only_ok``, must
+    hash to the dataset's ``config_hash``, and its ``[synth]`` settings must
+    equal the header's; the seed is not compared.
     """
-    ds = synth.read_dataset(path)
+    with synth.QndFile(path) as ds:
+        analysis = analyze(ds, cfg)
     system = cfg.system()
     driven = system.config_hash()
     if ds.config_hash not in (driven, system.vacuum_only().config_hash()):
@@ -70,7 +73,7 @@ def _read_dataset(cfg: RunConfig, path, vacuum_only_ok: bool) -> synth.DataSet:
                 f"{path}: synthesized with {f.name} = {have!r}, "
                 f"but the run config gives {want!r}"
             )
-    return ds
+    return analysis
 
 
 def cmd_theory(cfg: RunConfig, args) -> int:
@@ -147,9 +150,8 @@ def cmd_budget(cfg: RunConfig, args) -> int:
 def cmd_synth(cfg: RunConfig, args) -> int:
     system = _system(cfg, args.vacuum_only)
     scfg = cfg.synth_config(seed=args.seed)
-    ds = synth.synthesize(system, scfg)
     path = os.path.join(args.out, "dataset.qnd")
-    synth.write_dataset(ds, path)
+    synth.synthesize_file(system, scfg, path)
     print(
         f"wrote {path}: {scfg.n_segments} segments of {scfg.segment_length} "
         f"samples at {scfg.sample_rate:g} Hz, seed {scfg.seed}"
@@ -167,7 +169,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"--channels must be 'meter' or 'meter,meter_squared', got {args.channels!r}"
         )
-    analysis = analyze(_read_dataset(cfg, args.dataset, vacuum_only_ok=True), cfg)
+    analysis = _analyze_dataset(cfg, args.dataset, vacuum_only_ok=True)
     seg = analysis.seg
     res = residual(seg)
     res_n = analysis.normalized(res)
@@ -216,9 +218,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
-    p_sum = analyze(
-        _read_dataset(cfg, args.dataset, vacuum_only_ok=False), cfg
-    ).spectrum_sum
+    p_sum = _analyze_dataset(cfg, args.dataset, vacuum_only_ok=False).spectrum_sum
     system = cfg.system()
     problem = fitting.FitProblem(
         system=system,

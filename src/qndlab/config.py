@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,16 @@ DEFAULTS = {
 }
 
 
+def _finite_float(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{where}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed configuration: raw string table plus typed accessors."""
@@ -107,10 +118,15 @@ class RunConfig:
         return self.table[section][key]
 
     def get_float(self, section: str, key: str) -> float:
-        return float(self.get(section, key))
+        """The value as a finite float; anything else raises ``ConfigError``."""
+        return _finite_float(self.get(section, key), f"[{section}] {key}")
 
     def get_int(self, section: str, key: str) -> int:
-        return int(self.get(section, key))
+        text = self.get(section, key)
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: not an integer: {text!r}") from None
 
     def get_bool(self, section: str, key: str) -> bool:
         v = self.get(section, key).strip().lower()
@@ -169,7 +185,7 @@ class RunConfig:
                     raise ConfigError(
                         f"[zeta] peaks: expected center:width:amplitude, got {item!r}"
                     )
-                c, w, a = (float(p) for p in parts)
+                c, w, a = (_finite_float(p, "[zeta] peaks") for p in parts)
                 peaks.append((TWO_PI * c, TWO_PI * w, a))
         return ZetaModel(
             peaks=tuple(peaks), background=self.get_float("zeta", "background")

@@ -23,30 +23,32 @@ from . import synth
 from .errors import (
     ConfigError,
     DegenerateDenominator,
+    FormatError,
     GridMismatch,
     InsufficientBand,
     SingularCrossMatrix,
     TooFewSegments,
 )
-from .synth import DataSet
+from .synth import CHANNELS, DataSet, QndFile
 
 WINDOWS = ("rectangular", "hann")
 
 
 @dataclass
 class SegmentSet:
-    """Per-segment channel data on a common grid.
+    """Selected segments of a dataset and, once transformed, their band DFTs.
 
-    ``segments`` maps each dataset channel to a read-only (n_seg, L) view
-    of it, rejected segments included; ``kept_mask`` marks the segments
-    that passed selection.  No sample is copied.  ``transform`` populates
-    ``dfts`` (complex (n_kept, M) arrays of the kept segments, including
-    the derived "meter_squared" channel) and ``frequencies``.
+    ``source`` is the dataset the segments are read from: an in-memory
+    ``DataSet`` or an open ``QndFile``, each of which gives channel c of
+    segment i as ``source.segment(c, i)``.  ``kept_mask`` marks the
+    segments that passed selection.  No sample is held here.  ``transform``
+    populates ``dfts`` (complex (n_kept, M) arrays of the kept
+    segments, including the derived "meter_squared" channel) and
+    ``frequencies``.
     """
 
-    segments: dict
+    source: DataSet | QndFile
     kept_mask: np.ndarray
-    sample_rate: float
     window: str = "rectangular"
     dfts: dict | None = None
     frequencies: np.ndarray | None = None
@@ -61,7 +63,11 @@ class SegmentSet:
 
     @property
     def segment_length(self) -> int:
-        return next(iter(self.segments.values())).shape[1]
+        return self.source.config.segment_length
+
+    @property
+    def sample_rate(self) -> float:
+        return self.source.config.sample_rate
 
 
 @dataclass
@@ -103,9 +109,9 @@ class ResidualEstimate(SpectrumEstimate):
 
 
 def segment_and_select(
-    ds: DataSet, peak_limit: float = 60.0, rms_limit: float = 25.0
+    ds: DataSet | QndFile, peak_limit: float = 60.0, rms_limit: float = 25.0
 ) -> SegmentSet:
-    """Split channels into segments and mark the noisy ones.
+    """Mark the noisy segments of a dataset, reading each segment once.
 
     A segment is rejected when the sum channel's peak or rms exceeds the
     limits (SQL units).  The defaults are arbitrary, sized to catch the
@@ -114,40 +120,37 @@ def segment_and_select(
     1-3), but the default 64 x 2**19 dataset at seed 171 keeps 55 of 64,
     since a longer segment's peak crosses the limit more often.
 
-    The returned segments are read-only views of all of the dataset's
-    channels, whether or not a segment is rejected; ``kept_mask`` says
-    which rows ``transform`` uses.  The statistics are taken one segment
-    at a time, so no temporary larger than a segment is made.
+    One pass on the thread pool reads all three channels of every segment,
+    one segment at a time: it takes the sum channel's statistics and checks
+    every sample, rejected segments included, for finiteness.  A
+    non-finite sample raises ``FormatError`` naming the first such channel.
+    The returned set holds ``ds`` and ``kept_mask``, no samples.
     """
     if peak_limit <= 0 or rms_limit <= 0:
         raise ConfigError("selection limits must be positive")
-    length = ds.config.segment_length
-    n_seg = len(ds.sum) // length
-    segs = {}
-    for name in ("sum", "difference", "meter"):
-        x = ds.channel(name)[: n_seg * length].reshape(n_seg, length)
-        # the views are frozen so an in-place write fails loudly
-        x.flags.writeable = False
-        segs[name] = x
+    n_seg = ds.config.n_segments
     peaks = np.empty(n_seg)
     rms = np.empty(n_seg)
+    finite = np.empty((len(CHANNELS), n_seg), dtype=bool)
 
     def stats(i):
-        x = segs["sum"][i]
-        peaks[i] = max(x.max(), -x.min())  # max |x| without an |x| copy
-        rms[i] = x.std()
+        for c, name in enumerate(CHANNELS):
+            x = ds.segment(name, i)
+            finite[c, i] = np.all(np.isfinite(x))
+            if name == "sum" and finite[c, i]:  # else selection raises below
+                peaks[i] = max(x.max(), -x.min())  # max |x| without an |x| copy
+                rms[i] = x.std()
 
     synth._on_pool(stats, n_seg)
+    for name, ok in zip(CHANNELS, finite):
+        if not ok.all():
+            raise FormatError(f"payload: non-finite samples in {name} channel")
     kept = (peaks <= peak_limit) & (rms <= rms_limit)
     if kept.sum() < 4:
         raise TooFewSegments(
             f"only {int(kept.sum())} of {n_seg} segments pass selection"
         )
-    return SegmentSet(
-        segments=segs,
-        kept_mask=kept,
-        sample_rate=ds.config.sample_rate,
-    )
+    return SegmentSet(source=ds, kept_mask=kept)
 
 
 def transform(
@@ -159,10 +162,11 @@ def transform(
     transform, so the large deterministic DC term cannot leak.  ``band``
     (f_lo, f_hi) keeps only that slice of the grid to bound memory.
 
-    Each kept segment is windowed and transformed on its own, on a thread
-    pool, and only its band is kept: the memory beyond the band DFTs is a
-    few segment-sized buffers per worker.  The values equal those of one
-    batched ``rfft`` over the kept rows, bit for bit.
+    Each kept segment is read from ``seg.source``, windowed and transformed
+    on its own, on a thread pool, and only its band is kept: the memory
+    beyond the band DFTs is a few segment-sized buffers per worker.  The
+    values equal those of one batched ``rfft`` over the kept rows, bit for
+    bit.
     """
     if window not in WINDOWS:
         raise ConfigError(f"window must be one of {WINDOWS}")
@@ -187,7 +191,7 @@ def transform(
         name: np.empty(
             (len(rows), hi - lo), dtype=complex, order="C" if band is None else "F"
         )
-        for name in (*seg.segments, "meter_squared")
+        for name in (*CHANNELS, "meter_squared")
     }
 
     def band_dft(x, buf, full, out):
@@ -203,19 +207,18 @@ def transform(
             scratch.buf = np.empty(length)
             scratch.full = np.empty(len(freqs), dtype=complex)
         buf, full = scratch.buf, scratch.full
-        i = rows[k]
-        for name, x in seg.segments.items():
-            band_dft(x[i], buf, full, dfts[name][k])
-        y = seg.segments["meter"][i]
-        sq = np.multiply(y, y, out=buf)
+        for name in CHANNELS:
+            x = seg.source.segment(name, rows[k])
+            band_dft(x, buf, full, dfts[name][k])
+        # x is still the meter segment, the last of the file's CHANNELS
+        sq = np.multiply(x, x, out=buf)
         sq -= sq.mean()
         band_dft(sq, buf, full, dfts["meter_squared"][k])
 
     synth._on_pool(run, len(rows))
     return SegmentSet(
-        segments=seg.segments,
+        source=seg.source,
         kept_mask=seg.kept_mask,
-        sample_rate=seg.sample_rate,
         window=window,
         dfts=dfts,
         frequencies=freqs[lo:hi].copy(),
@@ -517,6 +520,8 @@ def band_average(
 
     Attaches ``belt_lo``/``belt_hi`` arrays to the returned estimate.
     """
+    if not math.isfinite(band_width_hz):
+        raise ConfigError(f"band width must be finite, got {band_width_hz!r} Hz")
     df = float(np.mean(np.diff(est.frequencies)))
     if band_width_hz < df:
         raise ConfigError("band narrower than the grid spacing")

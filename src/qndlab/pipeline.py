@@ -17,7 +17,7 @@ import numpy as np
 from . import estimation
 from .config import RunConfig
 from .estimation import SegmentSet, SpectrumEstimate
-from .synth import DataSet
+from .synth import DataSet, QndFile
 
 
 @dataclass
@@ -40,8 +40,12 @@ class Analysis:
         ).normalized_by(self.sql)
 
 
-def analyze(ds: DataSet, cfg: RunConfig) -> Analysis:
-    """Select and transform ``ds``, then calibrate it against the in-run SQL."""
+def analyze(ds: DataSet | QndFile, cfg: RunConfig) -> Analysis:
+    """Select and transform ``ds``, then calibrate it against the in-run SQL.
+
+    ``ds`` is an in-memory ``DataSet`` or an open ``QndFile``; either is
+    read one segment at a time, and only the band DFTs are kept.
+    """
     seg = estimation.segment_and_select(
         ds,
         peak_limit=cfg.get_float("estimate", "peak_limit"),

@@ -6,12 +6,20 @@ amplitudes shaped by its spectrum, the output-port coefficients map them
 to the detected quadratures, and an inverse FFT produces the real time
 series.  Samples are in SQL units: a pure vacuum quadrature has unit
 spectral density on the estimator's grid.
+
+The pieces are drawn on a thread pool and handed to one of two sinks:
+``synthesize`` writes them into in-memory channels and returns a
+``DataSet``; ``synthesize_file`` writes each piece at its offset in a
+``.qnd`` file, so the channels are never held in memory.  ``QndFile``
+serves the segments of such a file by positioned reads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,7 +31,8 @@ from .theory import SpectrumModel
 
 _MAGIC = b"QNDL"
 _VERSION = 2
-_CHANNEL_ORDER = ("sum", "difference", "meter")
+# the channels in file order
+CHANNELS = ("sum", "difference", "meter")
 
 
 @dataclass(frozen=True)
@@ -86,10 +95,12 @@ class SynthConfig:
 
 @dataclass
 class DataSet:
-    """Three synchronized real channels.
+    """Three synchronized real channels, held in memory.
 
     Channels are stored concatenated (n_segments * segment_length samples
-    each); the segment boundaries are implied by ``config``.
+    each); the segment boundaries are implied by ``config``.  Selection and
+    the transform read it, as they read an open ``QndFile``, through
+    ``segment``.
     """
 
     sum: np.ndarray
@@ -99,21 +110,40 @@ class DataSet:
     config_hash: str = ""
 
     def __post_init__(self):
-        n = len(self.sum)
-        if len(self.difference) != n or len(self.meter) != n:
-            raise ConfigError("channels must have equal length")
-        for name in _CHANNEL_ORDER:
-            if not np.all(np.isfinite(getattr(self, name))):
+        n = self.config.n_segments * self.config.segment_length
+        for name in CHANNELS:
+            x = getattr(self, name)
+            if len(x) != n:
+                raise ConfigError(
+                    f"{name} channel holds {len(x)} samples, "
+                    f"not n_segments x segment_length = {n}"
+                )
+            if not np.all(np.isfinite(x)):
                 raise ConfigError(f"non-finite samples in {name} channel")
 
     def channel(self, name: str) -> np.ndarray:
-        if name not in _CHANNEL_ORDER:
+        if name not in CHANNELS:
             raise KeyError(name)
         return getattr(self, name)
+
+    def segment(self, name: str, i: int) -> np.ndarray:
+        """Channel ``name`` of segment ``i``, as a read-only view."""
+        _check_segment(self.config, i)
+        length = self.config.segment_length
+        x = self.channel(name)[i * length : (i + 1) * length]
+        # the view is frozen so an in-place write fails loudly
+        x.flags.writeable = False
+        return x
+
+
+def _check_segment(cfg: SynthConfig, i: int) -> None:
+    if not 0 <= i < cfg.n_segments:
+        raise IndexError(f"segment {i} of a {cfg.n_segments}-segment dataset")
 
 
 def _port_tables(system: SystemParams, cfg: SynthConfig):
     """Quadrature coefficients of both ports on the rfft grid."""
+    cfg.validate_band(system)
     m = cfg.segment_length // 2 + 1
     omega = 2.0 * np.pi * np.fft.rfftfreq(cfg.segment_length, 1.0 / cfg.sample_rate)
     omega[0] = omega[1] * 1e-6  # avoid the exact-DC corner of the model
@@ -249,50 +279,130 @@ def _on_pool(task, n: int) -> None:
         list(pool.map(task, range(n)))
 
 
-def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
-    """Generate a dataset whose second-order statistics match the model.
+def _synthesize_into(cfg: SynthConfig, port_tables, put) -> None:
+    """Draw every piece on the pool and hand its samples to ``put``.
 
-    Deterministic given (system, cfg): each piece draws from its own
-    substream spawned from the seed, and the worker that draws a piece
-    writes it into its rows of the channels, so the output does not depend
-    on the number of CPUs.
+    ``port_tables`` is what ``_port_tables`` returns for ``cfg``.
+    ``put(name, start, x, add)`` stores ``x`` as the samples of channel
+    ``name`` from ``start`` on or, with ``add``, adds ``x`` to the samples
+    stored there.  It runs on the worker that drew the piece.  Each piece
+    draws from its own substream spawned from the seed, so the samples do
+    not depend on the number of CPUs.
     """
-    cfg.validate_band(system)
-    tables, psd = _port_tables(system, cfg)
+    tables, psd = port_tables
     length = cfg.segment_length
     half = length // 2
     n_total = cfg.n_segments * length
     n_pieces = 2 * cfg.n_segments + 1 if cfg.continuous else cfg.n_segments
-    chans = {name: np.zeros(n_total) for name in _CHANNEL_ORDER}
     # sin half-windows at 50% overlap sum to unit power across joints
     window = np.sin(np.pi * (np.arange(length) + 0.5) / length)
     seqs = np.random.SeedSequence(cfg.seed).spawn(n_pieces)
 
-    def place(i):
+    def place(i, add=False):
         lo = i * half - half if cfg.continuous else i * length
         a = max(lo, 0)
         b = min(lo + length, n_total)
-        for name, x in zip(_CHANNEL_ORDER, _piece(cfg, tables, psd, seqs[i])):
+        for name, x in zip(CHANNELS, _piece(cfg, tables, psd, seqs[i])):
             if cfg.continuous:
-                chans[name][a:b] += (window * x)[a - lo : b - lo]
-            else:
-                chans[name][a:b] = x
+                x = (window * x)[a - lo : b - lo]
+                if not add:
+                    x += 0.0  # the stored sample is 0 + a, so -0.0 becomes +0.0
+            put(name, a, x, add)
 
     if cfg.continuous:
         # piece i spans half-blocks i-1 and i, so the even pieces and then
-        # the odd ones write disjoint samples; each sample is 0 + a + b,
-        # the same in either order
+        # the odd ones write disjoint samples and each pass covers every
+        # sample once; each sample is 0 + a + b, the same in either order
         _on_pool(lambda k: place(2 * k), cfg.n_segments + 1)
-        _on_pool(lambda k: place(2 * k + 1), cfg.n_segments)
+        _on_pool(lambda k: place(2 * k + 1, add=True), cfg.n_segments)
     else:
         _on_pool(place, n_pieces)
-    return DataSet(
-        sum=chans["sum"],
-        difference=chans["difference"],
-        meter=chans["meter"],
-        config=cfg,
-        config_hash=system.config_hash(),
-    )
+
+
+def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
+    """Generate a dataset whose second-order statistics match the model.
+
+    Deterministic given (system, cfg), whatever the number of CPUs: the
+    worker that draws a piece writes it into its rows of the channels.
+    """
+    port_tables = _port_tables(system, cfg)
+    n_total = cfg.n_segments * cfg.segment_length
+    chans = {name: np.zeros(n_total) for name in CHANNELS}
+
+    def put(name, start, x, add):
+        row = chans[name][start : start + len(x)]
+        if add:
+            row += x
+        else:
+            row[:] = x
+
+    _synthesize_into(cfg, port_tables, put)
+    return DataSet(**chans, config=cfg, config_hash=system.config_hash())
+
+
+def synthesize_file(system: SystemParams, cfg: SynthConfig, path) -> None:
+    """Synthesize straight into the ``.qnd`` file at ``path``.
+
+    Writes the bytes of ``write_dataset(synthesize(system, cfg), path)``
+    without holding the channels: the worker that draws a piece writes it at
+    its offset in the file, and in continuous mode the second pass reads
+    its samples back, adds and writes them again.  A non-finite sample
+    raises ``ConfigError`` as ``DataSet`` does.  The file is written under a
+    temporary name beside ``path`` and renamed only after the last piece,
+    so a failed run leaves neither file behind.
+    """
+    port_tables = _port_tables(system, cfg)
+    header = _header(cfg, system.config_hash())
+    n_total = cfg.n_segments * cfg.segment_length
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w+b", buffering=0) as fh:
+            fd = fh.fileno()
+            _pwrite(fd, header, 0)
+            # pre-sized: a piece that is never written would read as zeros,
+            # which is why the file is renamed only after the last piece
+            fh.truncate(len(header) + 3 * n_total * 8)
+
+            def put(name, start, x, add):
+                offset = len(header) + (CHANNELS.index(name) * n_total + start) * 8
+                if add:
+                    x = np.add(_pread_into(fd, np.empty(len(x), dtype="<f8"), offset), x)
+                if not np.all(np.isfinite(x)):
+                    raise ConfigError(f"non-finite samples in {name} channel")
+                _pwrite(fd, np.ascontiguousarray(x, dtype="<f8"), offset)
+
+            _synthesize_into(cfg, port_tables, put)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all of ``data`` at byte ``offset`` of ``fd``."""
+    view = memoryview(data).cast("B")
+    while view:
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
+
+
+def _pread_into(fd: int, out: np.ndarray, offset: int) -> np.ndarray:
+    """Fill ``out`` (``<f8``) with the samples at byte ``offset`` of ``fd``."""
+    view = memoryview(out).cast("B")
+    while view:
+        n = os.preadv(fd, [view], offset)
+        if n == 0:
+            raise FormatError(f"payload ends before byte {offset}")
+        view, offset = view[n:], offset + n
+    return out
+
+
+def _header(cfg: SynthConfig, config_hash: str) -> bytes:
+    """Magic, version, every ``SynthConfig`` field and the system hash."""
+    lines = [f"{f.name}={getattr(cfg, f.name)!r}\n" for f in fields(SynthConfig)]
+    lines.append(f"config_hash={config_hash}\n\n")
+    return _MAGIC + bytes([_VERSION]) + "".join(lines).encode("utf-8")
 
 
 def write_dataset(ds: DataSet, path) -> None:
@@ -302,53 +412,60 @@ def write_dataset(ds: DataSet, path) -> None:
     so floats round-trip exactly, then the system's ``config_hash``.
     """
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(bytes([_VERSION]))
-        for f in fields(SynthConfig):
-            fh.write(f"{f.name}={getattr(ds.config, f.name)!r}\n".encode("utf-8"))
-        fh.write(f"config_hash={ds.config_hash}\n\n".encode("utf-8"))
-        for name in _CHANNEL_ORDER:
+        fh.write(_header(ds.config, ds.config_hash))
+        for name in CHANNELS:
             # the array's own buffer, without the copy tobytes() would make
             fh.write(memoryview(np.ascontiguousarray(ds.channel(name), dtype="<f8")))
 
 
-def read_dataset(path) -> DataSet:
-    """Read a dataset file; round-trips ``write_dataset`` bit-exactly.
+def _read_header(fh) -> tuple[SynthConfig, str]:
+    """Parse the header of the open file ``fh`` and check its payload size.
 
-    Any header that does not rebuild a valid ``SynthConfig`` (a version-1
-    file, a missing or unknown key, a value that does not parse or that
-    ``SynthConfig`` rejects) raises ``FormatError``, as does a payload of
-    the wrong size or holding a non-finite sample.
+    Returns the ``SynthConfig`` and the system hash, with ``fh`` at the
+    first payload byte.  Any header that does not rebuild a valid
+    ``SynthConfig`` (a version-1 file, a missing or unknown key, a value
+    that does not parse or that ``SynthConfig`` rejects) raises
+    ``FormatError``, as does a payload of the wrong size.
+    """
+    magic = fh.read(4)
+    if magic != _MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    version = fh.read(1)
+    if len(version) != 1 or version[0] != _VERSION:
+        raise FormatError(
+            f"unsupported version {version!r}, expected {_VERSION}; "
+            "re-run qndlab synth to write the current format"
+        )
+    header = {}
+    while (line := fh.readline()) != b"\n":
+        if not line.endswith(b"\n"):
+            raise FormatError("unexpected end of file inside header")
+        key, sep, value = line[:-1].decode("utf-8", "replace").partition("=")
+        if not sep:
+            raise FormatError(f"malformed header line {line!r}")
+        if key in header:
+            raise FormatError(f"duplicate header key {key!r}")
+        header[key] = value
+    cfg = _header_config(header)
+    expected = 3 * cfg.segment_length * cfg.n_segments * 8
+    payload = os.fstat(fh.fileno()).st_size - fh.tell()
+    if payload != expected:
+        raise FormatError(
+            f"truncated or padded payload: expected {expected} bytes, "
+            f"got {payload}"
+        )
+    return cfg, header["config_hash"]
+
+
+def read_dataset(path) -> DataSet:
+    """Read a dataset file into memory; round-trips ``write_dataset`` bit-exactly.
+
+    Raises ``FormatError`` for a header or payload size that ``QndFile``
+    rejects too, and for a non-finite sample.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        version = fh.read(1)
-        if len(version) != 1 or version[0] != _VERSION:
-            raise FormatError(
-                f"unsupported version {version!r}, expected {_VERSION}; "
-                "re-run qndlab synth to write the current format"
-            )
-        header = {}
-        while (line := fh.readline()) != b"\n":
-            if not line.endswith(b"\n"):
-                raise FormatError("unexpected end of file inside header")
-            key, sep, value = line[:-1].decode("utf-8", "replace").partition("=")
-            if not sep:
-                raise FormatError(f"malformed header line {line!r}")
-            if key in header:
-                raise FormatError(f"duplicate header key {key!r}")
-            header[key] = value
-        cfg = _header_config(header)
+        cfg, config_hash = _read_header(fh)
         n_total = cfg.segment_length * cfg.n_segments
-        expected = 3 * n_total * 8
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload != expected:
-            raise FormatError(
-                f"truncated or padded payload: expected {expected} bytes, "
-                f"got {payload}"
-            )
         # one read into one array; the channels are views of it
         data = np.fromfile(fh, dtype="<f8", count=3 * n_total)
     try:
@@ -357,10 +474,55 @@ def read_dataset(path) -> DataSet:
             difference=data[n_total : 2 * n_total],
             meter=data[2 * n_total :],
             config=cfg,
-            config_hash=header["config_hash"],
+            config_hash=config_hash,
         )
     except ConfigError as exc:  # non-finite samples in the payload
         raise FormatError(f"payload: {exc}") from None
+
+
+class QndFile:
+    """An open dataset file that serves its segments by positioned reads.
+
+    Opening parses the header and checks the payload size exactly as
+    ``read_dataset`` does; no sample is read until ``segment`` asks for
+    one, so the channels are never held in memory.  ``segment`` may be
+    called from several threads at once; each thread reads into its own
+    one-segment buffer.  The samples are not checked here: selection checks
+    every one for finiteness as it reads them.  Close the file with
+    ``close`` or by using it as a context manager.
+    """
+
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self.config, self.config_hash = _read_header(self._fh)
+        except BaseException:
+            self._fh.close()
+            raise
+        self._payload = self._fh.tell()
+        self._local = threading.local()
+
+    def segment(self, name: str, i: int) -> np.ndarray:
+        """Channel ``name`` of segment ``i``, read into this thread's buffer.
+
+        The thread's next call overwrites the returned array.
+        """
+        _check_segment(self.config, i)
+        buf = getattr(self._local, "buf", None)
+        if buf is None:
+            buf = self._local.buf = np.empty(self.config.segment_length, dtype="<f8")
+        first = CHANNELS.index(name) * self.config.n_segments + i
+        offset = self._payload + first * self.config.segment_length * 8
+        return _pread_into(self._fh.fileno(), buf, offset)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "QndFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # header value parsers by the type of a SynthConfig field's default

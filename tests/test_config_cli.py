@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qndlab as q
-from qndlab import cli
+from qndlab import cli, synth
 from qndlab.config import default_config_text, load_config
 from qndlab.errors import ConfigError, QndError
 from conftest import rewrite_qnd
@@ -234,6 +234,21 @@ class TestCliCommands:
         assert "detuning" in report
         assert (tmp_path / "fit_curves.csv").exists()
 
+    def test_failed_synth_leaves_no_file(self, tmp_path, monkeypatch):
+        piece = synth._piece
+
+        def failing(cfg, tables, psd, seq):
+            if seq.spawn_key == (9,):
+                raise RuntimeError("piece 9 failed")
+            return piece(cfg, tables, psd, seq)
+
+        monkeypatch.setattr(synth, "_piece", failing)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        with pytest.raises(RuntimeError, match="piece 9 failed"):
+            cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
 
 # The documented exit code of every error class, by name; a class missing
 # here fails its case.
@@ -303,6 +318,56 @@ class TestCliErrorFamilies:
         bad.write_bytes(small_qnd.read_bytes()[:-8] + nan)  # the last meter sample
         assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 3
         assert "non-finite samples in meter channel" in capsys.readouterr().err
+
+    def test_non_finite_in_rejected_segment_exit_3(self, small_qnd, tmp_path, capsys):
+        # a NaN in the difference channel of a segment that selection rejects
+        # for its sum-channel spike is still found
+        raw = bytearray(small_qnd.read_bytes())
+        payload = raw.index(b"\n\n") + 2
+        length, n_total = 16384, 16 * 16384
+
+        def put(index, value):
+            at = payload + 8 * index
+            raw[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+
+        bad = tmp_path / "bad.qnd"
+        put(5 * length + 100, 500.0)  # sum channel, segment 5
+        bad.write_bytes(raw)
+        with q.QndFile(bad) as ds:
+            kept = q.segment_and_select(ds).kept_mask
+        assert not kept[5] and kept.sum() == 15
+        put(n_total + 5 * length + 7, np.nan)  # difference channel, segment 5
+        bad.write_bytes(raw)
+        run = tmp_path / "run.cfg"
+        run.write_text(SMALL_CFG)
+        out = tmp_path / "out"
+        assert cli.main(["estimate", str(bad), "--config", str(run),
+                         "--out", str(out)]) == 3
+        assert "non-finite samples in difference channel" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("peak_limit", "abc", []),
+        (None, None, ["--band-hz", "nan"]),
+        (None, None, ["--band-hz", "inf"]),
+        ("band_average_hz", "nan", []),
+        ("peak_limit", "nan", []),
+    ], ids=["peak-abc", "band-flag-nan", "band-flag-inf", "band-key-nan", "peak-nan"])
+    def test_bad_number_exit_2(self, small_qnd, tmp_path, capsys, key, value, argv):
+        text = SMALL_CFG
+        if key is not None:  # set the key in SMALL_CFG's [estimate] section
+            line = "band_average_hz = 600.0\n"
+            text = text.replace(
+                line, f"{key} = {value}\n" + line * (key != "band_average_hz")
+            )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["estimate", str(small_qnd), "--config", str(cfg),
+                         "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"[estimate] {key}" in err if key else "band width" in err
+        assert list(out.iterdir()) == []
 
     def test_all_segments_spiked_exit_4(self, tmp_path, system):
         cfg = q.SynthConfig(segment_length=2**13, n_segments=8, seed=1)
@@ -544,3 +609,33 @@ class TestColdStart:
         assert "evaluations = " in (tmp_path / "fit_report.txt").read_text()
         assert (tmp_path / "fit_curves.csv").exists()
         assert got["scipy"] == []
+
+
+# Runs one qndlab command in a fresh interpreter and prints its exit code
+# and the interpreter's peak RSS (ru_maxrss, in KiB on Linux).
+_RSS_PROBE = """
+import json, resource, sys
+from qndlab import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+class TestStreamedMemory:
+    def test_estimate_peak_does_not_grow_with_the_dataset(self, tmp_path):
+        # doubling 16 x 2**16 to 32 x 2**16 adds 25 MB of payload, which
+        # estimate streams; what it holds grows by the band DFTs of the 16
+        # more kept segments (4 channels x 1573 bins x 16 B each, 1.6 MB)
+        # and the estimators' per-segment temporaries, a few MB at most
+        peaks = {}
+        for n in (16, 32):
+            out = tmp_path / str(n)
+            out.mkdir()
+            cfg = out / "run.cfg"
+            cfg.write_text(f"[synth]\nsegment_length = 65536\nn_segments = {n}\n")
+            assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+            got = _fresh_python("-c", _RSS_PROBE, "estimate", str(out / "dataset.qnd"),
+                                "--config", str(cfg), "--out", str(out))
+            assert got["code"] == 0
+            peaks[n] = got["maxrss_kb"]
+        assert peaks[32] - peaks[16] <= 8 * 1024, peaks

@@ -1,5 +1,6 @@
 """Synthetic record generation: statistics, impairments, and the file format."""
 
+import contextlib
 import dataclasses
 import hashlib
 import tracemalloc
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import qndlab as q
-from qndlab import synth, theory
+from qndlab import cli, synth, theory
+from qndlab.config import load_config
 from qndlab.errors import ConfigError, FormatError
 from conftest import pool_workers, rewrite_qnd
 
@@ -165,6 +167,33 @@ def _serial_synthesis(system, cfg):
     return chans
 
 
+# The frozen streams: (vacuum_only, cfg, SHA-256 of the .qnd file).
+FROZEN = [
+    (
+        False,
+        q.SynthConfig(segment_length=2**12, n_segments=5, seed=17),
+        "14c1cc996f561566c6e546757cf5c3df751df386458696f9caad1a197cd0d1ce",
+    ),
+    (
+        False,
+        q.SynthConfig(
+            segment_length=2**12, n_segments=6, seed=19, continuous=True,
+            spike_rate=1000.0, nonlinearity_lambda=2e-5,
+        ),
+        "6a861901cb6aa632d3ee0261f14bb4f1ac5821d037c986079e9e9f8c5d440212",
+    ),
+    (
+        True,
+        q.SynthConfig(
+            segment_length=2**12, n_segments=4, seed=3,
+            nonlinearity_lambda=1e-5,
+        ),
+        "c4e086cc9a97557a66d334b7a5a48b73731a99625009debe93199254dfd23b63",
+    ),
+]
+FROZEN_IDS = ["plain-5", "continuous-spikes-nonlinear", "vacuum-only-nonlinear"]
+
+
 class TestParallelSynthesis:
     def test_draw_is_the_complex_sum(self):
         # the frozen seeds were drawn as a + 1j*b, real part first
@@ -193,20 +222,42 @@ class TestParallelSynthesis:
         ],
         ids=["plain-5", "continuous-spikes-nonlinear", "continuous-1", "continuous-0"],
     )
-    def test_bit_identical_to_serial_chain(self, system, cfg):
+    def test_bit_identical_to_serial_chain(self, system, cfg, tmp_path):
         ref = _serial_synthesis(system, cfg)
-        # this process's CPUs, then one worker, then more workers than
-        # cores with frequent thread switches
-        got = [synth.synthesize(system, cfg)]
-        for n_workers in (1, 3):
-            with pool_workers(n_workers):
+        # this process's CPUs, then one, two and more workers than cores
+        # with frequent thread switches; in memory and streamed to a file
+        got, files = [], []
+        for n_workers in (None, 1, 2, 3):
+            path = tmp_path / f"{n_workers}.qnd"
+            with pool_workers(n_workers) if n_workers else contextlib.nullcontext():
                 got.append(synth.synthesize(system, cfg))
+                synth.synthesize_file(system, cfg, path)
+            files.append(path.read_bytes())
+            got.append(q.read_dataset(path))
         for ds in got:
             for name, x in ref.items():
                 assert np.array_equal(ds.channel(name), x), name
+        memory = tmp_path / "memory.qnd"
+        q.write_dataset(got[0], memory)
+        assert all(f == memory.read_bytes() for f in files)
+
+    def test_continuous_sample_is_zero_plus_two_pieces(self, system, monkeypatch,
+                                                       tmp_path):
+        # 0.0 + (-0.0) + (-0.0) is +0.0: the first pass must store 0 + a,
+        # not a, in the file as in memory
+        def negative_zeros(cfg, tables, psd, seq):
+            return tuple(np.full(cfg.segment_length, -0.0) for _ in range(3))
+
+        monkeypatch.setattr(synth, "_piece", negative_zeros)
+        cfg = q.SynthConfig(segment_length=2**12, n_segments=3, continuous=True)
+        synth.synthesize_file(system, cfg, tmp_path / "zeros.qnd")
+        for ds in (synth.synthesize(system, cfg), q.read_dataset(tmp_path / "zeros.qnd")):
+            for name in synth.CHANNELS:
+                assert not np.signbit(ds.channel(name)).any(), name
 
     @pytest.mark.parametrize("continuous", [False, True])
-    def test_worker_exception_propagates(self, system, continuous, monkeypatch):
+    def test_worker_exception_propagates(self, system, continuous, monkeypatch,
+                                         tmp_path):
         piece = synth._piece
 
         def failing(cfg, tables, psd, seq):
@@ -221,41 +272,37 @@ class TestParallelSynthesis:
         )
         with pool_workers(3), pytest.raises(RuntimeError, match="piece 3 failed"):
             synth.synthesize(system, cfg)
+        # the streamed file is renamed into place only after its last piece
+        with pool_workers(3), pytest.raises(RuntimeError, match="piece 3 failed"):
+            synth.synthesize_file(system, cfg, tmp_path / "dataset.qnd")
+        assert list(tmp_path.iterdir()) == []
 
 
     @pytest.mark.parametrize(
-        "vacuum_only, cfg, digest",
-        [
-            (
-                False,
-                q.SynthConfig(segment_length=2**12, n_segments=5, seed=17),
-                "14c1cc996f561566c6e546757cf5c3df751df386458696f9caad1a197cd0d1ce",
-            ),
-            (
-                False,
-                q.SynthConfig(
-                    segment_length=2**12, n_segments=6, seed=19, continuous=True,
-                    spike_rate=1000.0, nonlinearity_lambda=2e-5,
-                ),
-                "6a861901cb6aa632d3ee0261f14bb4f1ac5821d037c986079e9e9f8c5d440212",
-            ),
-            (
-                True,
-                q.SynthConfig(
-                    segment_length=2**12, n_segments=4, seed=3,
-                    nonlinearity_lambda=1e-5,
-                ),
-                "c4e086cc9a97557a66d334b7a5a48b73731a99625009debe93199254dfd23b63",
-            ),
-        ],
-        ids=["plain-5", "continuous-spikes-nonlinear", "vacuum-only-nonlinear"],
+        "vacuum_only, cfg, digest, streamed",
+        [(*case, streamed) for streamed in (False, True) for case in FROZEN],
+        ids=[*FROZEN_IDS, *(f"{name}-cli" for name in FROZEN_IDS)],
     )
-    def test_stream_is_frozen(self, system, vacuum_only, cfg, digest, tmp_path):
+    def test_stream_is_frozen(self, system, vacuum_only, cfg, digest, streamed,
+                              tmp_path):
         # the frozen seeds of the acceptance tests draw this exact stream
-        path = tmp_path / "frozen.qnd"
-        q.write_dataset(
-            q.synthesize(system.vacuum_only() if vacuum_only else system, cfg), path
-        )
+        path = tmp_path / "dataset.qnd"
+        if streamed:
+            # qndlab synth with a config that spells out every field of cfg
+            key = {"sample_rate": "sample_rate_hz"}
+            run = tmp_path / "run.cfg"
+            run.write_text("[synth]\n" + "".join(
+                f"{key.get(f.name, f.name)} = {getattr(cfg, f.name)!r}\n"
+                for f in dataclasses.fields(cfg) if f.name != "seed"
+            ))
+            assert load_config(path=run).synth_config(seed=cfg.seed) == cfg
+            argv = ["synth", "--config", str(run), "--out", str(tmp_path),
+                    "--seed", str(cfg.seed)]
+            assert cli.main(argv + ["--vacuum-only"] * vacuum_only) == 0
+        else:
+            q.write_dataset(
+                q.synthesize(system.vacuum_only() if vacuum_only else system, cfg), path
+            )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_memory_bounded_per_worker(self, system):
