@@ -84,6 +84,15 @@ def cmd_theory(cfg: RunConfig, args) -> int:
         omega_m=1.0, gamma_m=0.005, gamma_ba=1.0, gamma_th=0.5, r_param=0.0
     )
     w = np.linspace(0.8, 1.2, 2001)
+    if args.vacuum_only:
+        # no drive: every quantum-limited curve is flat shot noise
+        limits = [np.ones_like(w)] * 3
+    else:
+        limits = [
+            theory.simple_residual_spectrum(sp, w),
+            theory.min_quadrature_spectrum(sp, w),
+            theory.fixed_phase_output_spectrum(sp, 0.1, w),
+        ]
     _write_csv(
         os.path.join(out, "simple_model.csv"),
         [
@@ -93,19 +102,7 @@ def cmd_theory(cfg: RunConfig, args) -> int:
             "min_quadrature",
             "fixed_phase_output",
         ],
-        [
-            w,
-            theory.displacement_spectrum(sp, w),
-            np.ones_like(w)
-            if args.vacuum_only
-            else theory.simple_residual_spectrum(sp, w),
-            np.ones_like(w)
-            if args.vacuum_only
-            else theory.min_quadrature_spectrum(sp, w),
-            np.ones_like(w)
-            if args.vacuum_only
-            else theory.fixed_phase_output_spectrum(sp, 0.1, w),
-        ],
+        [w, theory.displacement_spectrum(sp, w), *limits],
         config_hash=system.config_hash(),
     )
     omega = theory.default_omega_grid(system)

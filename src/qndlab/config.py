@@ -209,25 +209,18 @@ class RunConfig:
         names = [
             n.strip() for n in self.get("fit", "free_params").split(",") if n.strip()
         ]
+        # the [fit] keys of each parameter's (lo, hi) bounds; detuning's are in kappa
+        keys = {
+            "detuning": ("detuning_lo_kappa", "detuning_hi_kappa"),
+            "phi_s": ("phi_s_lo_rad", "phi_s_hi_rad"),
+            "zeta_background": ("zeta_background_lo", "zeta_background_hi"),
+        }
         bounds = {}
         for name in names:
-            if name == "detuning":
-                bounds[name] = (
-                    self.get_float("fit", "detuning_lo_kappa") * kappa,
-                    self.get_float("fit", "detuning_hi_kappa") * kappa,
-                )
-            elif name == "phi_s":
-                bounds[name] = (
-                    self.get_float("fit", "phi_s_lo_rad"),
-                    self.get_float("fit", "phi_s_hi_rad"),
-                )
-            elif name == "zeta_background":
-                bounds[name] = (
-                    self.get_float("fit", "zeta_background_lo"),
-                    self.get_float("fit", "zeta_background_hi"),
-                )
-            else:
+            if name not in keys:
                 raise ConfigError(f"[fit] free_params: unknown parameter {name!r}")
+            scale = kappa if name == "detuning" else 1.0
+            bounds[name] = tuple(self.get_float("fit", k) * scale for k in keys[name])
         return bounds
 
 

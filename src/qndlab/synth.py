@@ -346,21 +346,35 @@ def synthesize_file(system: SystemParams, cfg: SynthConfig, path) -> None:
     Writes the bytes of ``write_dataset(synthesize(system, cfg), path)``
     without holding the channels: the worker that draws a piece writes it at
     its offset in the file, and in continuous mode the second pass reads
-    its samples back, adds and writes them again.  A non-finite sample
-    raises ``ConfigError`` as ``DataSet`` does.  The file is written under a
-    temporary name beside ``path`` and renamed only after the last piece,
-    so a failed run leaves neither file behind.
+    its samples back, adds and writes them again.  A failed run leaves no
+    file behind (see ``_write``).
     """
     port_tables = _port_tables(system, cfg)
-    header = _header(cfg, system.config_hash())
+    _write(path, cfg, system.config_hash(),
+           lambda put: _synthesize_into(cfg, port_tables, put))
+
+
+def _write(path, cfg: SynthConfig, config_hash: str, fill) -> None:
+    """Write the ``.qnd`` file at ``path``: the one writer of the format.
+
+    ``fill(put)`` stores the samples through ``put(name, start, x, add)``
+    (see ``_synthesize_into``); a non-finite one raises ``ConfigError`` as
+    ``DataSet`` does.  The file is written under a temporary name beside
+    ``path`` and renamed after ``fill`` returns, so a failed write leaves
+    neither file behind.
+    """
+    # every SynthConfig field as name=repr(value), so floats round-trip
+    lines = [f"{f.name}={getattr(cfg, f.name)!r}\n" for f in fields(SynthConfig)]
+    lines.append(f"config_hash={config_hash}\n\n")
+    header = _MAGIC + bytes([_VERSION]) + "".join(lines).encode("utf-8")
     n_total = cfg.n_segments * cfg.segment_length
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w+b", buffering=0) as fh:
             fd = fh.fileno()
             _pwrite(fd, header, 0)
-            # pre-sized: a piece that is never written would read as zeros,
-            # which is why the file is renamed only after the last piece
+            # pre-sized: a sample that is never written would read as zero,
+            # which is why the file is renamed only after the last one
             fh.truncate(len(header) + 3 * n_total * 8)
 
             def put(name, start, x, add):
@@ -371,7 +385,7 @@ def synthesize_file(system: SystemParams, cfg: SynthConfig, path) -> None:
                     raise ConfigError(f"non-finite samples in {name} channel")
                 _pwrite(fd, np.ascontiguousarray(x, dtype="<f8"), offset)
 
-            _synthesize_into(cfg, port_tables, put)
+            fill(put)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -398,24 +412,18 @@ def _pread_into(fd: int, out: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
-def _header(cfg: SynthConfig, config_hash: str) -> bytes:
-    """Magic, version, every ``SynthConfig`` field and the system hash."""
-    lines = [f"{f.name}={getattr(cfg, f.name)!r}\n" for f in fields(SynthConfig)]
-    lines.append(f"config_hash={config_hash}\n\n")
-    return _MAGIC + bytes([_VERSION]) + "".join(lines).encode("utf-8")
-
-
 def write_dataset(ds: DataSet, path) -> None:
-    """Write the binary dataset file (see the package data-format notes).
+    """Write ``ds`` as a ``.qnd`` file through ``synthesize_file``'s writer."""
 
-    The header holds every ``SynthConfig`` field as ``name=repr(value)``,
-    so floats round-trip exactly, then the system's ``config_hash``.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_header(ds.config, ds.config_hash))
+    def fill(put):
         for name in CHANNELS:
-            # the array's own buffer, without the copy tobytes() would make
-            fh.write(memoryview(np.ascontiguousarray(ds.channel(name), dtype="<f8")))
+            put(name, 0, ds.channel(name), False)
+
+    _write(path, ds.config, ds.config_hash, fill)
+
+
+# header value parsers by the type of a SynthConfig field's default
+_PARSE = {bool: {"True": True, "False": False}.__getitem__, int: int, float: float}
 
 
 def _read_header(fh) -> tuple[SynthConfig, str]:
@@ -446,7 +454,24 @@ def _read_header(fh) -> tuple[SynthConfig, str]:
         if key in header:
             raise FormatError(f"duplicate header key {key!r}")
         header[key] = value
-    cfg = _header_config(header)
+    keys = [f.name for f in fields(SynthConfig)] + ["config_hash"]
+    missing = [k for k in keys if k not in header]
+    unknown = [k for k in header if k not in keys]
+    if missing or unknown:
+        raise FormatError(f"header keys: missing {missing}, unknown {unknown}")
+    values = {}
+    for f in fields(SynthConfig):
+        kind = type(f.default)
+        try:
+            values[f.name] = _PARSE[kind](header[f.name])
+        except (KeyError, ValueError):
+            raise FormatError(
+                f"header {f.name}={header[f.name]!r} does not parse as {kind.__name__}"
+            ) from None
+    try:
+        cfg = SynthConfig(**values)
+    except ConfigError as exc:
+        raise FormatError(f"header: {exc}") from None
     expected = 3 * cfg.segment_length * cfg.n_segments * 8
     payload = os.fstat(fh.fileno()).st_size - fh.tell()
     if payload != expected:
@@ -460,21 +485,20 @@ def _read_header(fh) -> tuple[SynthConfig, str]:
 def read_dataset(path) -> DataSet:
     """Read a dataset file into memory; round-trips ``write_dataset`` bit-exactly.
 
-    Raises ``FormatError`` for a header or payload size that ``QndFile``
-    rejects too, and for a non-finite sample.
+    The file is opened as a ``QndFile``, so it raises ``FormatError`` for
+    the same headers and payload sizes, and for a non-finite sample.
     """
-    with open(path, "rb") as fh:
-        cfg, config_hash = _read_header(fh)
-        n_total = cfg.segment_length * cfg.n_segments
+    with QndFile(path) as qf:
+        n_total = qf.config.segment_length * qf.config.n_segments
         # one read into one array; the channels are views of it
-        data = np.fromfile(fh, dtype="<f8", count=3 * n_total)
+        data = _pread_into(qf._fh.fileno(), np.empty(3 * n_total, "<f8"), qf._payload)
     try:
         return DataSet(
             sum=data[:n_total],
             difference=data[n_total : 2 * n_total],
             meter=data[2 * n_total :],
-            config=cfg,
-            config_hash=config_hash,
+            config=qf.config,
+            config_hash=qf.config_hash,
         )
     except ConfigError as exc:  # non-finite samples in the payload
         raise FormatError(f"payload: {exc}") from None
@@ -483,8 +507,8 @@ def read_dataset(path) -> DataSet:
 class QndFile:
     """An open dataset file that serves its segments by positioned reads.
 
-    Opening parses the header and checks the payload size exactly as
-    ``read_dataset`` does; no sample is read until ``segment`` asks for
+    Opening parses the header and checks the payload size (``read_dataset``
+    reads through it too); no sample is read until ``segment`` asks for
     one, so the channels are never held in memory.  ``segment`` may be
     called from several threads at once; each thread reads into its own
     one-segment buffer.  The samples are not checked here: selection checks
@@ -524,28 +548,3 @@ class QndFile:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-# header value parsers by the type of a SynthConfig field's default
-_PARSE = {bool: {"True": True, "False": False}.__getitem__, int: int, float: float}
-
-
-def _header_config(header: dict) -> SynthConfig:
-    """The ``SynthConfig`` a version-2 header records."""
-    keys = [f.name for f in fields(SynthConfig)] + ["config_hash"]
-    missing = [k for k in keys if k not in header]
-    unknown = [k for k in header if k not in keys]
-    if missing or unknown:
-        raise FormatError(f"header keys: missing {missing}, unknown {unknown}")
-    values = {}
-    for f in fields(SynthConfig):
-        kind = type(f.default)
-        try:
-            values[f.name] = _PARSE[kind](header[f.name])
-        except (KeyError, ValueError):
-            raise FormatError(
-                f"header {f.name}={header[f.name]!r} does not parse as {kind.__name__}"
-            ) from None
-    try:
-        return SynthConfig(**values)
-    except ConfigError as exc:
-        raise FormatError(f"header: {exc}") from None

@@ -106,8 +106,8 @@ def test_criterion_1_sql_normalization(system):
         dev_analytic = max(dev_analytic, float(np.max(np.abs(spec - 1.0))))
     cfg = q.SynthConfig(segment_length=2**14, n_segments=220, seed=12,
                         electronic_noise_level=0.0)
-    seg = q.transform(q.segment_and_select(q.synthesize(vac, cfg)),
-                      band=(120e3, 220e3))
+    seg = q.analyze(q.synthesize(vac, cfg),
+                    q.load_config(text="[estimate]\nband_lo_hz = 120e3\n")).seg
     est = q.power_spectrum(seg, "sum")
     within = np.abs(est.values - 1.0) <= 3.0 * est.stderr
     frac = float(np.mean(within))
@@ -277,9 +277,8 @@ def nonlinear_run(system):
     ds = q.synthesize(system, cfg)
     # the quadratic term inflates segment peaks, so the spike-selection
     # limits are widened in proportion to keep most segments
-    seg = q.transform(q.segment_and_select(ds, peak_limit=120.0, rms_limit=30.0),
-                      band=(100e3, 220e3))
-    return seg
+    run = q.load_config(text="[estimate]\npeak_limit = 120\nrms_limit = 30\n")
+    return q.analyze(ds, run).seg
 
 
 def test_criterion_7_two_channel_improvement(nonlinear_run):
@@ -334,9 +333,7 @@ def test_criterion_9_shot_linearity(system, main_run):
         # inject the power point: detected shot level scales with the
         # local-oscillator power, i.e. the field amplitude scales by sqrt(g)
         ds = replace(ds, difference=ds.difference * np.sqrt(g))
-        seg = q.transform(q.segment_and_select(ds), band=(100e3, 220e3))
-        sql_g, _ = q.shot_calibration(q.power_spectrum(seg, "difference"))
-        sqls.append(float(sql_g))
+        sqls.append(float(q.analyze(ds, q.load_config(text="")).sql))
     slope, intercept, rep = q.shot_linearity_sweep(levels, np.array(sqls))
     sweep_ok = abs(slope - 1.0) < 0.01
     # in-run calibration on the main dataset with the 163-176 kHz exclusion

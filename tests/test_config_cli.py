@@ -249,6 +249,24 @@ class TestCliCommands:
             cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    def test_failed_write_dataset_leaves_no_file(self, small_dataset, tmp_path,
+                                                 monkeypatch):
+        channel = q.DataSet.channel
+
+        def failing(ds, name):
+            # the last channel: header, sum and difference are already written
+            if name == "meter":
+                raise RuntimeError("meter channel failed")
+            return channel(ds, name)
+
+        monkeypatch.setattr(q.DataSet, "channel", failing)
+        path = tmp_path / "x.qnd"
+        with pytest.raises(RuntimeError, match="meter channel failed"):
+            q.write_dataset(small_dataset, path)
+        assert not path.exists()
+        assert not (tmp_path / f"x.qnd.{os.getpid()}.tmp").exists()
+        assert list(tmp_path.iterdir()) == []
+
 
 # The documented exit code of every error class, by name; a class missing
 # here fails its case.
