@@ -10,15 +10,20 @@ Exit codes, carried by the error families of ``errors``:
   3  FormatError or OSError: missing or malformed dataset file
   4  StatisticsError: too few segments, singular systems, degenerate targets
   5  ModelError: non-convergence, divergent susceptibility, domain
-Any other exception propagates with its traceback.
+Any other exception propagates with its traceback.  SIGTERM exits 143
+after the same clean-up an exception runs, so ``synth`` leaves no
+temporary file behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -225,7 +230,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         free_params=cfg.fit_bounds(system.cavity.kappa),
         band=(cfg.get_float("fit", "band_lo_hz"), cfg.get_float("fit", "band_hi_hz")),
         n_multistarts=cfg.get_int("fit", "n_multistarts"),
-        seed=args.seed if args.seed is not None else cfg.get_int("run", "seed"),
+        seed=cfg.seed(args.seed),
     )
     result = fitting.fit(problem)
     text = fitting.fit_report_text(result)
@@ -285,6 +290,28 @@ _COMMANDS = {
 }
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def _sigterm_exits():
+    """Turn SIGTERM into ``SystemExit(143)`` while the block runs.
+
+    The exit unwinds the stack, so ``finally`` and ``except`` blocks, such
+    as the one that removes a half-written dataset, run first.  A handler
+    can only be set from the main thread; elsewhere SIGTERM keeps its own.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -295,9 +322,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return ConfigError.exit_code
     try:
-        cfg = load_config(path=args.config) if args.config else load_config(text="")
-        os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args)
+        with _sigterm_exits():
+            cfg = load_config(path=args.config) if args.config else load_config(text="")
+            os.makedirs(args.out, exist_ok=True)
+            return _COMMANDS[args.command](cfg, args)
     except (QndError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a file that cannot be read exits as a malformed one does

@@ -128,6 +128,21 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"[{section}] {key}: not an integer: {text!r}") from None
 
+    def get_positive(self, section: str, key: str) -> float:
+        """The value as a finite float above zero, for a key the model divides by."""
+        value = self.get_float(section, key)
+        if value <= 0:
+            raise ConfigError(f"[{section}] {key}: must be positive, got {value!r}")
+        return value
+
+    def seed(self, override: int | None = None) -> int:
+        """The run seed: ``override`` (a ``--seed`` flag), else ``[run] seed``."""
+        seed = self.get_int("run", "seed") if override is None else override
+        if seed < 0:
+            where = "[run] seed" if override is None else "--seed"
+            raise ConfigError(f"{where}: must be non-negative, got {seed}")
+        return seed
+
     def get_bool(self, section: str, key: str) -> bool:
         v = self.get(section, key).strip().lower()
         if v in ("true", "yes", "1", "on"):
@@ -143,7 +158,7 @@ class RunConfig:
         f_m = g("system", "mech_freq_hz")
         mech = MechanicalParams(
             omega_m=TWO_PI * f_m,
-            gamma_m=TWO_PI * f_m / g("system", "quality_factor"),
+            gamma_m=TWO_PI * f_m / self.get_positive("system", "quality_factor"),
             mass=g("system", "mass_kg"),
             temperature=g("system", "temperature_k"),
         )
@@ -153,7 +168,7 @@ class RunConfig:
             kappa1=kappa1,
             kappa2=kappa2,
             length=g("system", "cavity_length_m"),
-            omega_laser=TWO_PI * c_light / g("system", "wavelength_m"),
+            omega_laser=TWO_PI * c_light / self.get_positive("system", "wavelength_m"),
             detuning=g("system", "detuning_kappa") * (kappa1 + kappa2),
         )
         drive = DriveParams(
@@ -196,7 +211,7 @@ class RunConfig:
             sample_rate=self.get_float("synth", "sample_rate_hz"),
             segment_length=self.get_int("synth", "segment_length"),
             n_segments=self.get_int("synth", "n_segments"),
-            seed=self.get_int("run", "seed") if seed is None else seed,
+            seed=self.seed(seed),
             electronic_noise_level=self.get_float("synth", "electronic_noise_level"),
             nonlinearity_lambda=self.get_float("synth", "nonlinearity_lambda"),
             spike_rate=self.get_float("synth", "spike_rate"),

@@ -138,6 +138,8 @@ class DriveParams:
     def __post_init__(self):
         if self.power < 0:
             raise ConfigError("power must be non-negative")
+        if self.excess_noise_ref_power <= 0:
+            raise ConfigError("excess_noise_ref_power must be positive")
 
     def e0(self, cavity: CavityParams) -> float:
         """Drive amplitude sqrt(2*kappa1*P/hbar*omega0), taken real.

@@ -33,6 +33,10 @@ _MAGIC = b"QNDL"
 _VERSION = 2
 # the channels in file order
 CHANNELS = ("sum", "difference", "meter")
+# bins of the rfft grid per SpectrumModel evaluation in _port_tables
+_CHUNK_BINS = 2048
+# the most spike bursts a piece may expect: _add_spikes draws them one by one
+_MAX_BURSTS = 1000
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,9 @@ class SynthConfig:
     channel (power ratio, dB); the leaked oscillator peak is the remnant
     a balanced receiver with finite rejection shows.  ``continuous``
     cross-fades half-overlapped windowed pieces instead of emitting
-    independent periodic segments.  Every float setting must be finite.
+    independent periodic segments.  Every float setting must be finite, the
+    seed non-negative, and a piece may expect at most ``_MAX_BURSTS``
+    spike bursts.
     """
 
     sample_rate: float = 5e6
@@ -78,10 +84,31 @@ class SynthConfig:
             raise ConfigError("segment_length must factor into primes <= 7")
         if self.n_segments < 0:
             raise ConfigError("n_segments must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # every payload byte offset must fit a signed 64-bit file offset
+        if 3 * max(self.n_segments, 1) * self.segment_length * 8 >= 2**63:
+            raise ConfigError(
+                f"{self.n_segments} segments of {self.segment_length} samples "
+                "are too many for a dataset file"
+            )
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be positive")
         if self.electronic_noise_level < 0 or self.spike_rate < 0:
             raise ConfigError("noise levels and rates must be non-negative")
+        try:
+            10.0 ** (self.common_mode_leak_db / 20.0)  # the gain _piece applies
+        except OverflowError:
+            raise ConfigError(
+                f"common_mode_leak_db = {self.common_mode_leak_db!r} overflows "
+                "its amplitude gain 10**(dB/20)"
+            ) from None
+        bursts = self.spike_rate * (self.segment_length / self.sample_rate)
+        if bursts > _MAX_BURSTS:
+            raise ConfigError(
+                f"spike_rate = {self.spike_rate!r} expects {bursts:.3g} bursts per "
+                f"{self.segment_length}-sample piece, more than {_MAX_BURSTS}"
+            )
 
     def validate_band(self, system: SystemParams) -> None:
         """Reject sample rates that fold the band of interest."""
@@ -142,41 +169,64 @@ def _check_segment(cfg: SynthConfig, i: int) -> None:
 
 
 def _port_tables(system: SystemParams, cfg: SynthConfig):
-    """Quadrature coefficients of both ports on the rfft grid."""
+    """Both ports' quadrature coefficients and the classical PSDs on the rfft grid.
+
+    Returns ``(tables, psd)``.  ``tables[port][ch]`` holds the rows
+    ``_segment`` reads: ``(u(omega), conj(u(-omega)))`` for a vacuum
+    channel, ``(u(omega),)`` for a classical one.  ``psd[ch]`` is a
+    classical channel's input spectrum.
+
+    ``SpectrumModel`` is evaluated on ``_CHUNK_BINS`` bins of the grid at a
+    time, and each chunk is written into its slice of the rows.  Every model
+    quantity is elementwise in omega, so the rows equal one evaluation over
+    the whole grid bit for bit, and conjugation is exact; the model's own
+    temporaries stay a few chunks in size at any segment length.
+    """
     cfg.validate_band(system)
     m = cfg.segment_length // 2 + 1
-    omega = 2.0 * np.pi * np.fft.rfftfreq(cfg.segment_length, 1.0 / cfg.sample_rate)
-    omega[0] = omega[1] * 1e-6  # avoid the exact-DC corner of the model
-    # u(+omega) and u(-omega) per vacuum channel, u(+omega) alone per
-    # classical channel (_segment reads no other row).  All rows sit in one
-    # anonymous mapping rather than a malloc block, so freeing it returns
-    # the memory at once: from malloc, a block under glibc's 32 MiB cap on
-    # the dynamic mmap threshold (27 MB at 2**17 samples) can land on the
-    # heap, and the hole it left raised a 32 x 2**17 run's peak RSS by
-    # 46 MB.  Separate tables would leave such holes between them, which
-    # synthesis threads, allocating from their own arenas, cannot reuse.
+    # All rows sit in one anonymous mapping rather than malloc blocks, so
+    # freeing it returns the memory at once: from malloc, a block under
+    # glibc's 32 MiB cap on the dynamic mmap threshold (27 MB at 2**17
+    # samples) can land on the heap, and the hole it left raised a
+    # 32 x 2**17 run's peak RSS by 46 MB.  Separate tables would leave such
+    # holes between them, which synthesis threads, allocating from their
+    # own arenas, cannot reuse.
     rows = 2 * len(VACUUM_CHANNELS) + len(CLASSICAL_CHANNELS)
-    nbytes = 2 * rows * m * np.dtype(complex).itemsize
-    block = np.frombuffer(mmap.mmap(-1, nbytes), dtype=complex).reshape(2, rows, m)
-    model = SpectrumModel(system, omega)
+    coef_bytes = 2 * rows * m * np.dtype(complex).itemsize
+    buf = mmap.mmap(-1, coef_bytes + len(CLASSICAL_CHANNELS) * m * 8)
+    block = np.frombuffer(buf, dtype=complex, count=2 * rows * m).reshape(2, rows, m)
+    psd_rows = np.frombuffer(buf, dtype=float, offset=coef_bytes).reshape(-1, m)
+    psd = dict(zip(CLASSICAL_CHANNELS, psd_rows))
     tables = {}
-    for k, (port, phi) in enumerate((("signal", model.phi_s), ("meter", model.phi_m))):
-        tables[port] = {}
-        free = iter(block[k])
-        for ch in VACUUM_CHANNELS:
-            u_pos, u_neg = next(free), next(free)
-            u_pos[:], u_neg[:] = model.coefficients(port, ch, phi)
-            tables[port][ch] = (u_pos, u_neg)
+    for port, port_rows in zip(("signal", "meter"), block):
+        free = iter(port_rows)
+        tables[port] = {ch: (next(free), next(free)) for ch in VACUUM_CHANNELS}
+        tables[port].update((ch, (next(free),)) for ch in CLASSICAL_CHANNELS)
+    # np.fft.rfftfreq's bins, k * df, one chunk at a time
+    df = 1.0 / (cfg.segment_length * (1.0 / cfg.sample_rate))
+    for lo in range(0, m, _CHUNK_BINS):
+        hi = min(lo + _CHUNK_BINS, m)
+        omega = 2.0 * np.pi * (np.arange(lo, hi) * df)
+        if lo == 0:
+            omega[0] = omega[1] * 1e-6  # avoid the exact-DC corner of the model
+        model = SpectrumModel(system, omega)
+        for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
+            for ch, ch_rows in tables[port].items():
+                u_pos, u_neg = model.coefficients(port, ch, phi)
+                ch_rows[0][lo:hi] = u_pos
+                if ch in VACUUM_CHANNELS:
+                    np.conjugate(u_neg, out=ch_rows[1][lo:hi])
         for ch in CLASSICAL_CHANNELS:
-            u_pos = next(free)
-            u_pos[:] = model.coefficients(port, ch, phi)[0]
-            tables[port][ch] = (u_pos,)
-    return tables, {ch: model.psd[ch] for ch in CLASSICAL_CHANNELS}
+            psd[ch][lo:hi] = model.psd[ch]
+    return tables, psd
 
 
-def _draw(rng, m):
-    # same bits and draw order as a + 1j*b, without the complex temporaries
-    z = np.empty(m, dtype=complex)
+def _draw(rng, m, out=None):
+    """Complex normals, into ``out`` if given.
+
+    Same bits and draw order as a + 1j*b, without the complex temporaries.
+    """
+    z = np.empty(m, dtype=complex) if out is None else out
     z.real = rng.standard_normal(m)
     z.imag = rng.standard_normal(m)
     return z
@@ -186,38 +236,65 @@ def _segment(cfg, tables, psd, rng):
     """One segment of (sum, difference, meter, zeta-part-of-meter).
 
     The zeta part feeds only the quadratic nonlinearity; it is None when
-    ``cfg.nonlinearity_lambda`` is 0.
+    ``cfg.nonlinearity_lambda`` is 0.  The spectra are built in place, in
+    two scratch rows and two reused draw rows, and each is freed after its
+    inverse FFT.  Every product and sum is the one the plain expression in
+    the comments computes, with the same operands in the same order, so the
+    samples are bit for bit those of that expression.
     """
     length = cfg.segment_length
     m = length // 2 + 1
     root = np.sqrt(length / 2.0)
+    scale = root * np.sqrt(0.5)
     f_s = np.zeros(m, dtype=complex)
     f_m = np.zeros(m, dtype=complex)
-    f_zm = np.zeros(m, dtype=complex)
+    f_zm = None
+    g1, g2 = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
+    t1, t2 = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
     # fixed channel order keeps the draw sequence deterministic
     for ch in VACUUM_CHANNELS:
-        g1 = _draw(rng, m)
-        g2 = _draw(rng, m)
+        _draw(rng, m, out=g1)
+        _draw(rng, m, out=g2)
         for f_out, port in ((f_s, "signal"), (f_m, "meter")):
-            u_pos, u_neg = tables[port][ch]
-            f_out += root * np.sqrt(0.5) * (u_pos * g1 + np.conj(u_neg) * g2)
+            # f_out += scale * (u_pos * g1 + conj(u_neg) * g2)
+            u_pos, u_neg_conj = tables[port][ch]
+            np.multiply(u_pos, g1, out=t1)
+            np.multiply(u_neg_conj, g2, out=t2)
+            t1 += t2
+            np.multiply(scale, t1, out=t1)
+            f_out += t1
+    del g2, t2
     for ch in CLASSICAL_CHANNELS:
-        z = root * np.sqrt(psd[ch]) * _draw(rng, m)
-        f_s += tables["signal"][ch][0] * z
-        contrib = tables["meter"][ch][0] * z
-        f_m += contrib
-        if ch == "zeta":
-            f_zm = contrib
-    # difference port: independent vacuum at the detected power
-    f_d = root * _draw(rng, m)
-    for f in (f_s, f_m, f_zm, f_d):
-        f[0] = 0.0
-        f[-1] = f[-1].real
-    x_sum = np.fft.irfft(f_s, n=length)
-    y_m = np.fft.irfft(f_m, n=length)
-    z_m = np.fft.irfft(f_zm, n=length) if cfg.nonlinearity_lambda != 0.0 else None
-    x_diff = np.fft.irfft(f_d, n=length)
-    return x_sum, x_diff, y_m, z_m
+        # z = root * sqrt(psd) * draw; f_s += u_s * z; f_m += u_m * z
+        z = _draw(rng, m, out=g1)
+        np.multiply(root * np.sqrt(psd[ch]), z, out=z)
+        f_s += np.multiply(tables["signal"][ch][0], z, out=t1)
+        if ch == "zeta" and cfg.nonlinearity_lambda != 0.0:
+            f_zm = tables["meter"][ch][0] * z
+            f_m += f_zm
+        else:
+            f_m += np.multiply(tables["meter"][ch][0], z, out=t1)
+    del g1, z, t1
+    x_sum = _irfft(f_s, length)
+    del f_s
+    y_m = _irfft(f_m, length)
+    del f_m
+    z_m = None if f_zm is None else _irfft(f_zm, length)
+    del f_zm
+    # difference port: independent vacuum at the detected power, root * draw
+    f_d = _draw(rng, m)
+    np.multiply(root, f_d, out=f_d)
+    return x_sum, _irfft(f_d, length), y_m, z_m
+
+
+def _irfft(f, length):
+    """The real series of half spectrum ``f``.
+
+    Zeroes ``f``'s DC bin and makes its Nyquist bin real first.
+    """
+    f[0] = 0.0
+    f[-1] = f[-1].real
+    return np.fft.irfft(f, n=length)
 
 
 def _add_spikes(x, cfg, rng):
@@ -238,20 +315,32 @@ def _add_spikes(x, cfg, rng):
 
 
 def _piece(cfg, tables, psd, seq):
-    """One piece's (sum, difference, meter), drawn from its own substream."""
+    """One piece's (sum, difference, meter), drawn from its own substream.
+
+    The time-domain steps run in place and share one noise row; as in
+    ``_segment``, each keeps the operands and order of the expression in
+    its comment.
+    """
     rng = np.random.default_rng(seq)
-    length = cfg.segment_length
     x_sum, x_diff, y_m, z_m = _segment(cfg, tables, psd, rng)
     if cfg.nonlinearity_lambda != 0.0:
-        sq = z_m**2
-        x_sum += cfg.nonlinearity_lambda * (sq - sq.mean())
+        # x_sum += lambda * (z_m**2 - mean(z_m**2))
+        np.square(z_m, out=z_m)
+        z_m -= z_m.mean()
+        np.multiply(cfg.nonlinearity_lambda, z_m, out=z_m)
+        x_sum += z_m
+    del z_m
     if cfg.spike_rate > 0.0:
         _add_spikes(x_sum, cfg, rng)
-    x_diff += 10.0 ** (cfg.common_mode_leak_db / 20.0) * x_sum
+    # x_diff += leak * x_sum
+    noise = np.multiply(10.0 ** (cfg.common_mode_leak_db / 20.0), x_sum)
+    x_diff += noise
+    # x += sigma_e * standard_normal(length), for each channel in turn
     sigma_e = np.sqrt(cfg.electronic_noise_level)
-    x_sum = x_sum + sigma_e * rng.standard_normal(length)
-    x_diff = x_diff + sigma_e * rng.standard_normal(length)
-    y_m = y_m + sigma_e * rng.standard_normal(length)
+    for x in (x_sum, x_diff, y_m):
+        rng.standard_normal(out=noise)
+        np.multiply(sigma_e, noise, out=noise)
+        x += noise
     return x_sum, x_diff, y_m
 
 
@@ -294,8 +383,9 @@ def _synthesize_into(cfg: SynthConfig, port_tables, put) -> None:
     half = length // 2
     n_total = cfg.n_segments * length
     n_pieces = 2 * cfg.n_segments + 1 if cfg.continuous else cfg.n_segments
-    # sin half-windows at 50% overlap sum to unit power across joints
-    window = np.sin(np.pi * (np.arange(length) + 0.5) / length)
+    if cfg.continuous:
+        # sin half-windows at 50% overlap sum to unit power across joints
+        window = np.sin(np.pi * (np.arange(length) + 0.5) / length)
     seqs = np.random.SeedSequence(cfg.seed).spawn(n_pieces)
 
     def place(i, add=False):
@@ -304,7 +394,7 @@ def _synthesize_into(cfg: SynthConfig, port_tables, put) -> None:
         b = min(lo + length, n_total)
         for name, x in zip(CHANNELS, _piece(cfg, tables, psd, seqs[i])):
             if cfg.continuous:
-                x = (window * x)[a - lo : b - lo]
+                x = np.multiply(window, x, out=x)[a - lo : b - lo]
                 if not add:
                     x += 0.0  # the stored sample is 0 + a, so -0.0 becomes +0.0
             put(name, a, x, add)

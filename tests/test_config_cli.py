@@ -5,8 +5,10 @@ import dataclasses
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -294,6 +296,35 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+# Inputs that ended in a traceback (exit 1) or never ended, each now
+# rejected before any draw: (command, run config, extra argv, error text).
+_SYNTH = "[synth]\nsegment_length = 4096\n"
+BAD_INPUTS = [
+    ("synth", _SYNTH + "spike_rate = 1e30\n", [], "bursts per"),
+    ("synth", _SYNTH + "spike_rate = 1e12\n", [], "bursts per"),
+    ("synth", _SYNTH + "common_mode_leak_db = 1e30\n", [], "overflows"),
+    ("synth", _SYNTH + "n_segments = 99999999999999999999\n", [], "too many"),
+    ("synth", _SYNTH + "[run]\nseed = -1\n", [], "[run] seed"),
+    ("synth", _SYNTH, ["--seed", "-1"], "--seed"),
+    ("fit", SMALL_CFG + "[run]\nseed = -1\n", [], "[run] seed"),
+    ("fit", SMALL_CFG, ["--seed", "-1"], "--seed"),
+    *(
+        (command, SMALL_CFG + f"[system]\n{key} = 0\n", [], key.removesuffix("_w"))
+        for key in ("quality_factor", "wavelength_m", "excess_noise_ref_power_w")
+        for command in ("synth", "theory", "estimate")
+    ),
+]
+BAD_INPUT_IDS = [
+    "spike-rate-1e30", "spike-rate-1e12", "leak-1e30", "n-segments-1e20",
+    "run-seed-synth", "seed-flag-synth", "run-seed-fit", "seed-flag-fit",
+    *(
+        f"{key}-0-{command}"
+        for key in ("quality_factor", "wavelength_m", "excess_noise_ref_power_w")
+        for command in ("synth", "theory", "estimate")
+    ),
+]
+
+
 class TestCliErrorFamilies:
     @pytest.mark.parametrize(
         "exc_type", [*_subclasses(QndError), OSError], ids=lambda c: c.__name__
@@ -462,6 +493,44 @@ class TestCliErrorFamilies:
         assert rc == 2
         assert not (tmp_path / "est" / "report.txt").exists()
 
+    @pytest.mark.parametrize("command, text, argv, match", BAD_INPUTS,
+                             ids=BAD_INPUT_IDS)
+    def test_bad_input_exit_2(self, small_qnd, tmp_path, capsys, command, text,
+                              argv, match):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        dataset = [str(small_qnd)] if command in ("estimate", "fit") else []
+        assert cli.main([command, *dataset, "--config", str(cfg),
+                         "--out", str(out), *argv]) == 2
+        assert match in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_sigterm_leaves_no_file(self, tmp_path):
+        # SIGTERM during the draws exits 143 after the writer's clean-up;
+        # the dataset would take several seconds to draw
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[synth]\nsegment_length = 65536\nn_segments = 400\n")
+        out = tmp_path / "out"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qndlab.cli", "synth", "--config", str(cfg),
+             "--out", str(out)],
+            env=_fresh_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not list(out.glob("dataset.qnd.*.tmp")):
+                assert proc.poll() is None, "synth ended before it was signalled"
+                assert time.monotonic() < deadline, "no temporary file appeared"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=120) == 143
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert list(out.iterdir()) == []
+
 
 # Run configs that differ from SMALL_CFG in one [synth] value or in the
 # system, keyed by what the error message names.
@@ -558,15 +627,20 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def _fresh_python(*args):
-    """Run a fresh interpreter that imports qndlab from this package's tree."""
+def _fresh_env():
+    """This environment, with this package's tree first on ``PYTHONPATH``."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(q.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports qndlab from this package's tree."""
     proc = subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True,
+        [sys.executable, *args], env=_fresh_env(), capture_output=True, text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ from scipy import constants
 
 import qndlab as q
 from qndlab import params
+from qndlab.config import load_config
 from qndlab.errors import ConfigError
 
 
@@ -21,6 +22,18 @@ class TestValidation:
     def test_negative_power_rejected(self):
         with pytest.raises(ConfigError):
             q.DriveParams(power=-1.0)
+
+    def test_zero_excess_noise_reference_rejected(self):
+        with pytest.raises(ConfigError, match="excess_noise_ref_power"):
+            q.DriveParams(power=1.0, excess_noise_ref_power=0.0)
+
+    @pytest.mark.parametrize("key", ["quality_factor", "wavelength_m"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_divisor_keys_must_be_positive(self, key, value):
+        # the config divides by these before a dataclass sees the quotient
+        cfg = load_config(text=f"[system]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"\\[system\\] {key}: must be positive"):
+            cfg.system()
 
     def test_efficiency_bounds(self):
         with pytest.raises(ConfigError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qndlab as q
-from qndlab import cli, synth, theory
+from qndlab import cli, om_core, synth, theory
 from qndlab.config import load_config
 from qndlab.errors import ConfigError, FormatError
 from conftest import pool_workers, rewrite_qnd
@@ -38,6 +38,27 @@ class TestSynthConfig:
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             q.SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("seed", -1, "seed must be non-negative"),
+        ("n_segments", 99999999999999999999, "too many for a dataset file"),
+        ("common_mode_leak_db", 1e30, "overflows"),
+        ("spike_rate", 1e30, "bursts per"),
+        # about 1e11 bursts per piece, drawn one by one: it never ended
+        ("spike_rate", 1e12, "bursts per"),
+    ])
+    def test_out_of_range_rejected(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            q.SynthConfig(**{field: value})
+
+    def test_spike_rate_bound_is_per_piece(self):
+        # the bound is on the bursts a piece expects, so it scales with
+        # the piece duration
+        cfg = q.SynthConfig(segment_length=2**12)
+        rate = synth._MAX_BURSTS * cfg.sample_rate / cfg.segment_length
+        q.SynthConfig(segment_length=2**12, spike_rate=rate)
+        with pytest.raises(ConfigError, match="bursts per"):
+            q.SynthConfig(segment_length=2**13, spike_rate=rate)
 
     def test_band_validation(self, system):
         q.SynthConfig(sample_rate=5e6).validate_band(system)
@@ -200,6 +221,9 @@ class TestParallelSynthesis:
         a, b = np.random.default_rng(5), np.random.default_rng(5)
         z = synth._draw(a, 1001)
         assert np.array_equal(z, b.standard_normal(1001) + 1j * b.standard_normal(1001))
+        out = np.empty(1001, dtype=complex)
+        assert synth._draw(a, 1001, out=out) is out
+        assert np.array_equal(out, b.standard_normal(1001) + 1j * b.standard_normal(1001))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -326,10 +350,51 @@ class TestParallelSynthesis:
             for name in ("sum", "difference", "meter"):
                 assert np.array_equal(ds.channel(name), ref.channel(name)), name
             # each worker holds one piece in flight and writes it itself:
-            # about 15 rows for the first worker and 10 for each further one
-            assert peak - channel_bytes <= 16 * n_workers * row_bytes, (
+            # at most six half spectra and a draw's real half, 6.5 rows
+            assert peak - channel_bytes <= (1 + 6.5 * n_workers) * row_bytes, (
                 n_workers, (peak - channel_bytes) / row_bytes,
             )
+
+
+class TestPortTables:
+    # 4097 and 5121 bins: two full chunks and a partial one, of 1 and
+    # 1025 bins
+    @pytest.mark.parametrize("length", [2**13, 5 * 2**11])
+    def test_chunks_equal_the_whole_grid(self, system, length):
+        cfg = q.SynthConfig(segment_length=length)
+        assert (length // 2 + 1) % synth._CHUNK_BINS != 0
+        tables, psd = synth._port_tables(system, cfg)
+        omega = 2.0 * np.pi * np.fft.rfftfreq(length, 1.0 / cfg.sample_rate)
+        omega[0] = omega[1] * 1e-6
+        model = theory.SpectrumModel(system, omega)
+        for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
+            for ch in om_core.VACUUM_CHANNELS:
+                u_pos, u_neg = model.coefficients(port, ch, phi)
+                assert np.array_equal(tables[port][ch][0], u_pos), (port, ch)
+                assert np.array_equal(tables[port][ch][1], np.conj(u_neg)), (port, ch)
+            for ch in om_core.CLASSICAL_CHANNELS:
+                (u_pos,) = tables[port][ch]
+                assert np.array_equal(u_pos, model.coefficients(port, ch, phi)[0])
+        assert sorted(psd) == sorted(om_core.CLASSICAL_CHANNELS)
+        for ch, row in psd.items():
+            assert np.array_equal(row, model.psd[ch]), ch
+
+    def test_traced_peak_does_not_grow_with_the_segment(self, system):
+        # the rows live in an untraced anonymous mapping; what malloc holds
+        # is one chunk's model, whatever the segment length (a whole-grid
+        # model traced 124 MB at 2**18)
+        synth._port_tables(system, q.SynthConfig(segment_length=2**12))
+        peaks = {}
+        for length in (2**14, 2**18):
+            tracemalloc.start()
+            try:
+                synth._port_tables(system, q.SynthConfig(segment_length=length))
+                peaks[length] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        chunk_row = synth._CHUNK_BINS * np.dtype(complex).itemsize
+        assert peaks[2**18] <= peaks[2**14] + chunk_row, peaks
+        assert peaks[2**18] <= 128 * chunk_row, peaks
 
 
 class TestDatasetIO:
