@@ -5,22 +5,7 @@ All spectra are symmetrized, double-sided, and normalized so a pure
 vacuum quadrature reads 1 (SQL units).
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateDenominator,
-    DegenerateTarget,
-    DivergentSusceptibility,
-    DomainError,
-    FormatError,
-    GridMismatch,
-    InsufficientBand,
-    ModelError,
-    NonConvergence,
-    QndError,
-    SingularCrossMatrix,
-    StatisticsError,
-    TooFewSegments,
-)
+from .errors import ConfigError, FormatError, ModelError, QndError, StatisticsError
 from .params import (
     CavityParams,
     CouplingState,

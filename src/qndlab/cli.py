@@ -6,9 +6,12 @@ or plain text; plotting is left to external tools.
 Exit codes, carried by the error families of ``errors``:
   0  success
   2  ConfigError: bad config file, key, flag or [synth] value, a run config
-     that did not make the dataset, ``fit`` on a vacuum-only dataset
+     that did not make the dataset, ``fit`` on a vacuum-only dataset, an
+     inverted estimate band, a band-average width wider than that band,
+     ``n_multistarts`` outside 1 to 1000
   3  FormatError or OSError: missing or malformed dataset file
-  4  StatisticsError: too few segments, singular systems, degenerate targets
+  4  StatisticsError: too few segments, singular systems, degenerate
+     targets, an estimate band off the grid
   5  ModelError: non-convergence, divergent susceptibility, domain
 Any other exception propagates with its traceback.  SIGTERM exits 143
 after the same clean-up an exception runs, so ``synth`` leaves no

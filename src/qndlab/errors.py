@@ -20,48 +20,17 @@ class FormatError(QndError):
 
 
 class StatisticsError(QndError):
-    """The data cannot support the requested estimate."""
+    """The data cannot support the requested estimate: too few kept segments,
+    a singular cross-spectral system, a non-positive coherence denominator,
+    spectra on different grids, a band off the grid, or a fit target with
+    non-positive values or no usable uncertainty."""
 
     exit_code = 4
 
 
 class ModelError(QndError):
-    """The model cannot be evaluated at the given parameters."""
+    """The model cannot be evaluated at the given parameters: a solver that
+    does not settle, a susceptibility at or past an instability, or a
+    closed form evaluated outside its domain."""
 
     exit_code = 5
-
-
-class TooFewSegments(StatisticsError):
-    """Not enough kept segments for a split-based estimator."""
-
-
-class SingularCrossMatrix(StatisticsError):
-    """The two-channel cross-spectral system is rank deficient."""
-
-
-class DegenerateDenominator(StatisticsError):
-    """A coherence denominator is non-positive."""
-
-
-class GridMismatch(StatisticsError):
-    """Two spectra do not share a frequency grid."""
-
-
-class InsufficientBand(StatisticsError):
-    """A required calibration band falls outside the available grid."""
-
-
-class DegenerateTarget(StatisticsError):
-    """A fit target carries no usable uncertainty information."""
-
-
-class NonConvergence(ModelError):
-    """An iterative solver failed to settle within its budget."""
-
-
-class DivergentSusceptibility(ModelError):
-    """The effective mechanical response is at or past an instability."""
-
-
-class DomainError(ModelError):
-    """A closed-form expression was evaluated outside its domain."""

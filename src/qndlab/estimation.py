@@ -20,15 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import synth
-from .errors import (
-    ConfigError,
-    DegenerateDenominator,
-    FormatError,
-    GridMismatch,
-    InsufficientBand,
-    SingularCrossMatrix,
-    TooFewSegments,
-)
+from .errors import ConfigError, FormatError, StatisticsError
 from .synth import CHANNELS, DataSet, QndFile
 
 WINDOWS = ("rectangular", "hann")
@@ -147,7 +139,7 @@ def segment_and_select(
             raise FormatError(f"payload: non-finite samples in {name} channel")
     kept = (peaks <= peak_limit) & (rms <= rms_limit)
     if kept.sum() < 4:
-        raise TooFewSegments(
+        raise StatisticsError(
             f"only {int(kept.sum())} of {n_seg} segments pass selection"
         )
     return SegmentSet(source=ds, kept_mask=kept)
@@ -160,7 +152,8 @@ def transform(
 
     The square of the meter has its per-segment mean removed before the
     transform, so the large deterministic DC term cannot leak.  ``band``
-    (f_lo, f_hi) keeps only that slice of the grid to bound memory.
+    (f_lo, f_hi), f_lo < f_hi, keeps only that slice of the grid to bound
+    memory.
 
     Each kept segment is read from ``seg.source``, windowed and transformed
     on its own, on a thread pool, and only its band is kept: the memory
@@ -179,9 +172,11 @@ def transform(
     freqs = np.fft.rfftfreq(length, 1.0 / seg.sample_rate)
     lo, hi = 0, len(freqs)
     if band is not None:
+        if band[0] >= band[1]:
+            raise ConfigError(f"band {band}: the low edge must lie below the high edge")
         inside = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
         if not len(inside):
-            raise InsufficientBand(f"band {band} outside the grid")
+            raise StatisticsError(f"band {band} outside the grid")
         # the grid ascends, so the band is one contiguous slice
         lo, hi = inside[0], inside[-1] + 1
     rows = np.flatnonzero(seg.kept_mask)
@@ -253,7 +248,7 @@ def _halves(n: int):
 def _alpha_single(x, y):
     den = np.sum(np.abs(y) ** 2, axis=0)
     if np.any(den == 0):
-        raise DegenerateDenominator("predictor channel has zero power")
+        raise StatisticsError("predictor channel has zero power")
     return np.sum(x * np.conj(y), axis=0) / den
 
 
@@ -268,7 +263,7 @@ def _assemble_residual(seg, x, preds, alpha_solver, channels_used):
     _need_dfts(seg)
     n = x.shape[0]
     if n < 4:
-        raise TooFewSegments(f"need >= 4 segments for the split estimator, have {n}")
+        raise StatisticsError(f"need >= 4 segments for the split estimator, have {n}")
     odd, even = _halves(n)
     length = seg.segment_length
     alpha_odd = alpha_solver([p[odd] for p in preds], x[odd])
@@ -337,7 +332,7 @@ def residual_two_channel(
         det = s11 * s22 - np.abs(s12) ** 2
         scale = s11 * s22
         if np.any(det < det_floor * scale):
-            raise SingularCrossMatrix(
+            raise StatisticsError(
                 "predictor channels are (nearly) linearly dependent"
             )
         b1 = np.sum(x * np.conj(y1), axis=0)
@@ -364,11 +359,11 @@ def msc_estimate(
     y = seg.dfts[y_channel]
     n = x.shape[0]
     if n < 2:
-        raise TooFewSegments("MSC needs at least 2 segments")
+        raise StatisticsError("MSC needs at least 2 segments")
     sxx = np.sum(np.abs(x) ** 2, axis=0)
     syy = np.sum(np.abs(y) ** 2, axis=0)
     if np.any(sxx == 0) or np.any(syy == 0):
-        raise DegenerateDenominator("zero-power bins in MSC denominator")
+        raise StatisticsError("zero-power bins in MSC denominator")
     msc = np.abs(np.sum(np.conj(x) * y, axis=0)) ** 2 / (sxx * syy)
     # large-N normal approximation to the MSC sampling error
     stderr = np.sqrt(2.0 / n) * np.sqrt(msc) * (1.0 - msc)
@@ -395,7 +390,7 @@ def shot_calibration(
     for lo, hi in bands:
         sel |= (f >= lo) & (f <= hi)
     if sel.sum() < 2:
-        raise InsufficientBand(f"calibration bands {bands} not on the grid")
+        raise StatisticsError(f"calibration bands {bands} not on the grid")
     coeffs = np.polyfit(f[sel], est.values[sel], 1)
     sql = float(np.polyval(coeffs, analysis_freq))
     scatter = float(np.std(est.values[sel] - np.polyval(coeffs, f[sel])))
@@ -439,7 +434,7 @@ def subtract_electronic_noise(
     if len(est.frequencies) != len(electronic.frequencies) or not np.allclose(
         est.frequencies, electronic.frequencies
     ):
-        raise GridMismatch("estimates are on different frequency grids")
+        raise StatisticsError("estimates are on different frequency grids")
     values = est.values - electronic.values
     return replace(
         est,
@@ -518,7 +513,8 @@ def band_average(
 ) -> SpectrumEstimate:
     """Flat moving average with a normal-approximation confidence belt.
 
-    Attaches ``belt_lo``/``belt_hi`` arrays to the returned estimate.
+    Attaches ``belt_lo``/``belt_hi`` arrays to the returned estimate.  The
+    band must span at least one bin and at most the whole spectrum.
     """
     if not math.isfinite(band_width_hz):
         raise ConfigError(f"band width must be finite, got {band_width_hz!r} Hz")
@@ -526,6 +522,11 @@ def band_average(
     if band_width_hz < df:
         raise ConfigError("band narrower than the grid spacing")
     n_bins = max(int(round(band_width_hz / df)), 1)
+    if n_bins > len(est.values):
+        raise ConfigError(
+            f"band of {band_width_hz:g} Hz spans {n_bins} bins, more than the "
+            f"{len(est.values)} of the spectrum"
+        )
     kernel = np.ones(n_bins) / n_bins
     # edge bins average fewer neighbours; divide by the kernel overlap so
     # they stay unbiased instead of being pulled toward zero

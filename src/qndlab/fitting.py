@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateTarget, NonConvergence
+from .errors import ConfigError, ModelError, StatisticsError
 from .params import SystemParams
 from .theory import SpectrumModel
 
@@ -49,6 +49,8 @@ _EXACT_LOSS = 1e-12
 # eigenvalues of the unit-diagonal Fisher matrix at or below this are
 # directions the data do not resolve
 _FISHER_RCOND = 1e-12
+# the most multistarts a fit may run: each costs up to max_evals model builds
+_MAX_MULTISTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,8 @@ class FitProblem:
     in the noise model's background units.  The target should be
     normalized to SQL with electronic noise removed.  Weights follow from
     the relative errors: w = (value/stderr)^2, the inverse variance of
-    log S.  ``max_evals`` caps the model builds of each start.
+    log S.  ``n_multistarts`` lies in [1, ``_MAX_MULTISTARTS``] and
+    ``max_evals`` caps the model builds of each start.
     """
 
     system: SystemParams
@@ -83,12 +86,17 @@ class FitProblem:
                 raise ConfigError(f"bounds for {name!r} must be finite and ordered")
         if self.free_params.get("zeta_background", (0.0, 0.0))[0] < 0:
             raise ConfigError("bounds for 'zeta_background' must be non-negative")
+        if not 1 <= self.n_multistarts <= _MAX_MULTISTARTS:
+            raise ConfigError(
+                f"n_multistarts must lie in [1, {_MAX_MULTISTARTS}], "
+                f"got {self.n_multistarts}"
+            )
         if len(self.frequencies) != len(self.target) or len(self.target) != len(
             self.stderr
         ):
             raise ConfigError("target arrays must share one grid")
         if np.all(np.asarray(self.stderr) == 0):
-            raise DegenerateTarget("all stderr are zero; cannot weight the fit")
+            raise StatisticsError("all stderr are zero; cannot weight the fit")
 
 
 @dataclass
@@ -492,7 +500,7 @@ def fit(problem: FitProblem) -> FitResult:
     target = np.asarray(problem.target, dtype=float)[sel]
     stderr = np.asarray(problem.stderr, dtype=float)[sel]
     if np.any(target <= 0):
-        raise DegenerateTarget(
+        raise StatisticsError(
             f"log-spectral fit needs positive target values, but "
             f"{np.count_nonzero(target <= 0)} of {target.size} in the band are not"
         )
@@ -500,7 +508,7 @@ def fit(problem: FitProblem) -> FitResult:
     weights_raw = np.zeros_like(target)
     weights_raw[good] = (target[good] / stderr[good]) ** 2
     if not good.any():
-        raise DegenerateTarget("no usable stderr in the fit band")
+        raise StatisticsError("no usable stderr in the fit band")
     weights = weights_raw / weights_raw.sum()
     profile = _Profile(problem, 2.0 * np.pi * f, weights, np.log(target))
     names = sorted(problem.free_params)
@@ -521,7 +529,7 @@ def fit(problem: FitProblem) -> FitResult:
         start_losses.append(start_loss)
         converged.append(ok)
     if not any(converged):
-        raise NonConvergence(
+        raise ModelError(
             f"no multistart converged within {problem.max_evals} model builds"
         )
 
@@ -537,7 +545,7 @@ def fit(problem: FitProblem) -> FitResult:
     best = points[order[0]]
     if best.loss > min(start_losses):
         # every start's search keeps its own start's loss as a ceiling
-        raise NonConvergence("optimizer regressed past its initial point")
+        raise ModelError("optimizer regressed past its initial point")
     theta = theta_of(best)
     det_step = None if det_bounds is None else 1e-4 * (det_bounds[1] - det_bounds[0])
     sigma, corr = _sigma_and_correlation(

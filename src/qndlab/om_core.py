@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentSusceptibility, DomainError, NonConvergence
+from .errors import ModelError
 from .params import (
     CavityParams,
     CouplingState,
@@ -51,7 +51,7 @@ def mech_susceptibility(mech: MechanicalParams, omega):
 def optical_susceptibility(kappa: float, omega):
     """chi_opt(omega) = 1 / (1 - i*omega/kappa)."""
     if kappa <= 0:
-        raise DomainError("kappa must be positive")
+        raise ModelError("kappa must be positive")
     omega = np.asarray(omega, dtype=float)
     return 1.0 / (1.0 - 1j * omega / kappa)
 
@@ -74,7 +74,7 @@ def steady_state(
     With the effective detuning given, alpha_s = E0/(kappa - i*Delta) is
     exact.  With only the bare detuning, the radiation-pressure shifted
     position is found by damped fixed-point iteration; failure to settle
-    signals a multistable regime and raises NonConvergence.
+    signals a multistable regime and raises ModelError.
     """
     g0 = single_photon_coupling(mech, cavity)
     e0 = drive.e0(cavity)
@@ -97,13 +97,13 @@ def steady_state(
                 break
             q_s = (1.0 - damping) * q_s + damping * q_new
         else:
-            raise NonConvergence(
+            raise ModelError(
                 "steady state did not settle; likely bistable regime"
             )
         delta = delta0 + g0 * q_s
         alpha_s = e0 / (kappa - 1j * delta)
     else:
-        raise DomainError("either detuning or detuning0 must be set")
+        raise ModelError("either detuning or detuning0 must be set")
 
     g = g0 * np.sqrt(2.0) * alpha_s
     return CouplingState(g0=g0, g=g, alpha_s=alpha_s, q_s=q_s, detuning=delta)
@@ -131,7 +131,7 @@ def effective_susceptibility(
     )
     bracket = mech.omega_m**2 - omega**2 - 1j * omega * mech.gamma_m + spring
     if np.any(np.abs(bracket) < _DIVERGENCE_FLOOR * mech.omega_m**3):
-        raise DivergentSusceptibility(
+        raise ModelError(
             "effective susceptibility bracket below the stability floor"
         )
     return mech.omega_m / bracket
@@ -208,7 +208,7 @@ def quadrature_phases(
         )
         if abs(arg) > 1.0:
             if abs(arg) - 1.0 > 1e-12:
-                raise DomainError("arcsin argument outside [-1, 1]")
+                raise ModelError("arcsin argument outside [-1, 1]")
             arg = np.clip(arg, -1.0, 1.0)
         offset = np.arcsin(arg)
     phi_s = phi_r - offset
@@ -234,11 +234,11 @@ def lock_phase_for_signal_phase(
     det: DetectionParams,
     phi_s_target: float,
 ) -> float:
-    """Invert the phi0 -> phi_s map; raises DomainError if out of range."""
+    """Invert the phi0 -> phi_s map; raises ModelError if out of range."""
     phi_r, _, _ = quadrature_phases(state, cavity, det)
     span = signal_phase_tuning_range(det)
     if abs(phi_s_target - phi_r) > span:
-        raise DomainError(
+        raise ModelError(
             f"target signal phase {phi_s_target:.4f} rad outside the "
             f"tuning range {phi_r:.4f} +/- {span:.4f} rad"
         )

@@ -23,6 +23,10 @@ import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
+# imported here, before the CLI sets its SIGTERM handler: numpy would import
+# it on first use, mid-draw, and that import swallows an exception the
+# handler raises inside it, so the run would go on and exit 0
+import numpy.random  # noqa: F401
 
 from .errors import ConfigError, FormatError
 from .om_core import CLASSICAL_CHANNELS, VACUUM_CHANNELS

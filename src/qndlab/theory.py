@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDenominator
+from .errors import ConfigError, StatisticsError
 from .om_core import (
     CHANNELS,
     SOURCE_GROUPS,
@@ -278,7 +278,7 @@ def coherence(s_xx, s_yy, s_xy):
     s_xx = np.asarray(s_xx, dtype=float)
     s_yy = np.asarray(s_yy, dtype=float)
     if np.any(s_xx <= 0) or np.any(s_yy <= 0):
-        raise DegenerateDenominator("auto-spectra must be positive")
+        raise StatisticsError("auto-spectra must be positive")
     return np.abs(np.asarray(s_xy)) ** 2 / (s_xx * s_yy)
 
 

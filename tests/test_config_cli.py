@@ -277,16 +277,7 @@ EXIT_CODES = {
     "ConfigError": 2,
     "FormatError": 3,
     "StatisticsError": 4,
-    "TooFewSegments": 4,
-    "SingularCrossMatrix": 4,
-    "DegenerateDenominator": 4,
-    "GridMismatch": 4,
-    "InsufficientBand": 4,
-    "DegenerateTarget": 4,
     "ModelError": 5,
-    "NonConvergence": 5,
-    "DivergentSusceptibility": 5,
-    "DomainError": 5,
 }
 
 
@@ -296,8 +287,9 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-# Inputs that ended in a traceback (exit 1) or never ended, each now
-# rejected before any draw: (command, run config, extra argv, error text).
+# Inputs that ended in a traceback (exit 1), never ended, were silently
+# ignored or exited with another family's code, each now rejected with exit 2
+# before any output is written: (command, run config, extra argv, error text).
 _SYNTH = "[synth]\nsegment_length = 4096\n"
 BAD_INPUTS = [
     ("synth", _SYNTH + "spike_rate = 1e30\n", [], "bursts per"),
@@ -313,6 +305,18 @@ BAD_INPUTS = [
         for key in ("quality_factor", "wavelength_m", "excess_noise_ref_power_w")
         for command in ("synth", "theory", "estimate")
     ),
+    ("estimate", SMALL_CFG, ["--band-hz", "121000"], "more than the"),
+    *(
+        ("estimate", SMALL_CFG.replace("= 600.0", f"= {width}"), [], "more than the")
+        for width in ("1e20", "1e30")
+    ),
+    ("estimate", SMALL_CFG.replace("= 120e3\nband_hi_hz = 220e3",
+                                   "= 220e3\nband_hi_hz = 100e3"), [], "low edge"),
+    *(
+        ("fit", SMALL_CFG.replace("n_multistarts = 3", f"n_multistarts = {n}"), [],
+         "n_multistarts")
+        for n in ("0", "-3", "99999999999999999999")
+    ),
 ]
 BAD_INPUT_IDS = [
     "spike-rate-1e30", "spike-rate-1e12", "leak-1e30", "n-segments-1e20",
@@ -322,6 +326,8 @@ BAD_INPUT_IDS = [
         for key in ("quality_factor", "wavelength_m", "excess_noise_ref_power_w")
         for command in ("synth", "theory", "estimate")
     ),
+    "band-flag-121000", "band-key-1e20", "band-key-1e30", "inverted-band",
+    "multistarts-0", "multistarts-neg3", "multistarts-1e20",
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import qndlab as q
 from qndlab import fitting, theory
-from qndlab.errors import ConfigError, DegenerateTarget
+from qndlab.errors import ConfigError, ModelError, StatisticsError
 
 TWO_PI = 2.0 * np.pi
 
@@ -40,7 +40,7 @@ class TestProblemValidation:
 
     def test_all_zero_stderr(self, system):
         f, s, e = self._args(system)
-        with pytest.raises(DegenerateTarget):
+        with pytest.raises(StatisticsError, match="all stderr are zero"):
             fitting.FitProblem(system, f, s, np.zeros_like(e), {"phi_s": (-0.1, 0.1)})
 
     def test_band_excludes_everything(self, system):
@@ -328,7 +328,7 @@ class TestProfileFit:
             system, f, s, 0.02 * s, _bounds(system, ("detuning",)),
             n_multistarts=3, seed=0, max_evals=3,
         )
-        with pytest.raises(q.NonConvergence):
+        with pytest.raises(ModelError, match="no multistart converged"):
             fitting.fit(prob)
 
     def test_report_lines(self, system):

@@ -8,7 +8,7 @@ import pytest
 
 import qndlab as q
 from qndlab import theory
-from qndlab.errors import DomainError
+from qndlab.errors import ModelError
 
 HBAR = 1.0545718176461565e-34
 TWO_PI = 2.0 * np.pi
@@ -343,7 +343,7 @@ class TestQuadraturePhases:
             target, abs=1e-15
         )
         for sign in (1.0, -1.0):
-            with pytest.raises(DomainError):
+            with pytest.raises(ModelError, match="outside the tuning range"):
                 q.lock_phase_for_signal_phase(
                     st, system.cavity, det, phi_r + sign * 1.001 * span
                 )
@@ -374,12 +374,12 @@ class TestQuadraturePhases:
         det = dataclasses.replace(system.det, p_reference_arm=0.0)
         phi_r, _, _ = q.quadrature_phases(st, system.cavity, det)
         assert q.lock_phase_for_signal_phase(st, system.cavity, det, phi_r) == 0.0
-        with pytest.raises(DomainError):
+        with pytest.raises(ModelError, match="outside the tuning range"):
             q.lock_phase_for_signal_phase(st, system.cavity, det, phi_r + 1e-6)
 
     def test_unreachable_target_raises(self, system):
         st = _state(system)
-        with pytest.raises(DomainError):
+        with pytest.raises(ModelError, match="outside the tuning range"):
             q.lock_phase_for_signal_phase(st, system.cavity, system.det, 1.0)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import qndlab as q
 from qndlab import theory
-from qndlab.errors import ConfigError, DegenerateDenominator
+from qndlab.errors import ConfigError, StatisticsError
 from qndlab.om_core import SOURCE_GROUPS
 
 TWO_PI = 2.0 * np.pi
@@ -188,7 +188,7 @@ class TestFullModel:
         np.testing.assert_allclose(
             theory.coherence(x, 4.0 * x, 2.0 * x.astype(complex)), 1.0, rtol=1e-12
         )
-        with pytest.raises(DegenerateDenominator):
+        with pytest.raises(StatisticsError, match="auto-spectra must be positive"):
             theory.coherence(np.zeros(8), s, np.zeros(8))
 
     def test_residual_trivial_cases(self):
