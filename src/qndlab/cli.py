@@ -50,9 +50,11 @@ def _system(cfg: RunConfig, vacuum_only: bool):
     return system.vacuum_only() if vacuum_only else system
 
 
-def _analyze_dataset(cfg: RunConfig, path, vacuum_only_ok: bool) -> Analysis:
+def _analyze_dataset(cfg: RunConfig, path, vacuum_only_ok: bool,
+                     band_width_hz=None) -> Analysis:
     """Analyze the dataset file at ``path``, rejecting a run config that did not make it.
 
+    The band and ``band_width_hz`` are checked first, on the header's grid.
     The file is read as the analysis goes, a segment at a time, so its
     selection pass is what finds a non-finite sample (exit 3).  Then the run
     config's system, or its vacuum-only variant if ``vacuum_only_ok``, must
@@ -60,6 +62,7 @@ def _analyze_dataset(cfg: RunConfig, path, vacuum_only_ok: bool) -> Analysis:
     equal the header's; the seed is not compared.
     """
     with synth.QndFile(path) as ds:
+        estimation.band_grid(ds.config, cfg.estimate_band(), band_width_hz)
         analysis = analyze(ds, cfg)
     system = cfg.system()
     driven = system.config_hash()
@@ -174,16 +177,17 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"--channels must be 'meter' or 'meter,meter_squared', got {args.channels!r}"
         )
-    analysis = _analyze_dataset(cfg, args.dataset, vacuum_only_ok=True)
-    seg = analysis.seg
-    res = residual(seg)
-    res_n = analysis.normalized(res)
-    msc = estimation.msc_estimate(seg)
     width = (
         args.band_hz
         if args.band_hz is not None
         else cfg.get_float("estimate", "band_average_hz")
     )
+    analysis = _analyze_dataset(cfg, args.dataset, vacuum_only_ok=True,
+                                band_width_hz=width)
+    seg = analysis.seg
+    res = residual(seg)
+    res_n = analysis.normalized(res)
+    msc = estimation.msc_estimate(seg)
     confidence = cfg.get_float("estimate", "confidence")
     banded = estimation.band_average(res_n, width, confidence)
     diag = estimation.split_consistency(res)

@@ -220,6 +220,13 @@ class RunConfig:
             continuous=self.get_bool("synth", "continuous"),
         )
 
+    def estimate_band(self) -> tuple[float, float]:
+        """The ``[estimate]`` band (f_lo, f_hi) in Hz that ``transform`` keeps."""
+        return (
+            self.get_float("estimate", "band_lo_hz"),
+            self.get_float("estimate", "band_hi_hz"),
+        )
+
     def fit_bounds(self, kappa: float) -> dict:
         names = [
             n.strip() for n in self.get("fit", "free_params").split(",") if n.strip()

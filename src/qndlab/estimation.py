@@ -21,7 +21,7 @@ import numpy as np
 
 from . import synth
 from .errors import ConfigError, FormatError, StatisticsError
-from .synth import CHANNELS, DataSet, QndFile
+from .synth import CHANNELS, DataSet, QndFile, SynthConfig
 
 WINDOWS = ("rectangular", "hann")
 
@@ -72,6 +72,19 @@ class SpectrumEstimate:
     normalized: bool = False
     # bins that electronic-noise subtraction floored at zero
     floored_bins: int = 0
+    # set by band_average: the band width and the belt's normal quantile
+    band_width_hz: float | None = None
+    belt_z: float | None = None
+
+    @property
+    def belt_lo(self) -> np.ndarray | None:
+        """Lower edge of the confidence belt, None without one."""
+        return None if self.belt_z is None else self.values - self.belt_z * self.stderr
+
+    @property
+    def belt_hi(self) -> np.ndarray | None:
+        """Upper edge of the confidence belt, None without one."""
+        return None if self.belt_z is None else self.values + self.belt_z * self.stderr
 
     def normalized_by(self, sql_reference: float) -> "SpectrumEstimate":
         """Return a copy rescaled so the given SQL level reads 1."""
@@ -169,16 +182,7 @@ def transform(
         w = w / np.sqrt(np.mean(w**2))  # keep SQL = 1 after tapering
     else:
         w = None
-    freqs = np.fft.rfftfreq(length, 1.0 / seg.sample_rate)
-    lo, hi = 0, len(freqs)
-    if band is not None:
-        if band[0] >= band[1]:
-            raise ConfigError(f"band {band}: the low edge must lie below the high edge")
-        inside = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
-        if not len(inside):
-            raise StatisticsError(f"band {band} outside the grid")
-        # the grid ascends, so the band is one contiguous slice
-        lo, hi = inside[0], inside[-1] + 1
+    freqs, lo, hi = band_grid(seg.source.config, band)
     rows = np.flatnonzero(seg.kept_mask)
     # the memory order of a batched rfft, column-major once masked to a
     # band, so the estimators' sums over segments add in the same order
@@ -218,6 +222,30 @@ def transform(
         dfts=dfts,
         frequencies=freqs[lo:hi].copy(),
     )
+
+
+def band_grid(config: SynthConfig, band: tuple | None, band_width_hz=None):
+    """The rfft grid of a ``config`` dataset, and its slice ``lo:hi`` inside ``band``.
+
+    Raises, as ``transform`` and ``band_average`` would, for an inverted or
+    off-grid ``band`` and for a non-finite ``band_width_hz`` or one wider
+    than the band, before any sample is read.
+    """
+    freqs = np.fft.rfftfreq(config.segment_length, 1.0 / config.sample_rate)
+    if band is None:
+        return freqs, 0, len(freqs)
+    if band[0] >= band[1]:
+        raise ConfigError(f"band {band}: the low edge must lie below the high edge")
+    inside = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
+    if not len(inside):
+        raise StatisticsError(f"band {band} outside the grid")
+    # the grid ascends, so the band is one contiguous slice
+    lo, hi = inside[0], inside[-1] + 1
+    # one bin has no spacing to measure a width by; the SQL calibration
+    # rejects so narrow a band (exit 4)
+    if band_width_hz is not None and hi - lo > 1:
+        _band_bins(band_width_hz, freqs[lo:hi])
+    return freqs, lo, hi
 
 
 def _need_dfts(seg: SegmentSet):
@@ -508,25 +536,32 @@ def _normal_quantile(p: float) -> float:
     return x if upper else -x
 
 
+def _band_bins(band_width_hz: float, frequencies: np.ndarray) -> tuple[int, float]:
+    """Bins of a finite ``band_width_hz`` on ``frequencies``, at most all, and df."""
+    if not math.isfinite(band_width_hz):
+        raise ConfigError(f"band width must be finite, got {band_width_hz!r} Hz")
+    df = float(np.mean(np.diff(frequencies)))
+    n_bins = max(int(round(band_width_hz / df)), 1)
+    if n_bins > len(frequencies):
+        raise ConfigError(
+            f"band of {band_width_hz:g} Hz spans {n_bins} bins, more than the "
+            f"{len(frequencies)} of the spectrum"
+        )
+    return n_bins, df
+
+
 def band_average(
     est: SpectrumEstimate, band_width_hz: float, confidence: float = 0.9
 ) -> SpectrumEstimate:
     """Flat moving average with a normal-approximation confidence belt.
 
-    Attaches ``belt_lo``/``belt_hi`` arrays to the returned estimate.  The
-    band must span at least one bin and at most the whole spectrum.
+    The result carries the belt's normal quantile ``belt_z``, so its belt and
+    any copy's is ``values -+ belt_z * stderr``.  The band must span at
+    least one bin and at most the whole spectrum.
     """
-    if not math.isfinite(band_width_hz):
-        raise ConfigError(f"band width must be finite, got {band_width_hz!r} Hz")
-    df = float(np.mean(np.diff(est.frequencies)))
+    n_bins, df = _band_bins(band_width_hz, est.frequencies)
     if band_width_hz < df:
         raise ConfigError("band narrower than the grid spacing")
-    n_bins = max(int(round(band_width_hz / df)), 1)
-    if n_bins > len(est.values):
-        raise ConfigError(
-            f"band of {band_width_hz:g} Hz spans {n_bins} bins, more than the "
-            f"{len(est.values)} of the spectrum"
-        )
     kernel = np.ones(n_bins) / n_bins
     # edge bins average fewer neighbours; divide by the kernel overlap so
     # they stay unbiased instead of being pulled toward zero
@@ -534,12 +569,10 @@ def band_average(
     values = np.convolve(est.values, kernel, mode="same") / overlap
     # independent-bin averaging shrinks the error by sqrt(bins)
     stderr = np.sqrt(np.convolve(est.stderr**2, kernel**2, mode="same")) / overlap
-    out = replace(est, values=values, stderr=stderr)
-    z = _normal_quantile(0.5 + confidence / 2.0)
-    out.belt_lo = values - z * stderr
-    out.belt_hi = values + z * stderr
-    out.band_width_hz = n_bins * df
-    return out
+    return replace(
+        est, values=values, stderr=stderr, band_width_hz=n_bins * df,
+        belt_z=_normal_quantile(0.5 + confidence / 2.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -574,15 +607,12 @@ def split_consistency(res: ResidualEstimate) -> SplitDiagnostic:
 
 def write_spectrum_csv(est: SpectrumEstimate, path) -> None:
     """CSV export: frequency_hz, value, stderr[, belt_lo, belt_hi]."""
-    has_belt = hasattr(est, "belt_lo")
+    head, columns = ["frequency_hz", "value", "stderr"], [est.values, est.stderr]
+    if est.belt_z is not None:
+        head += ["belt_lo", "belt_hi"]
+        columns += [est.belt_lo, est.belt_hi]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        head = ["frequency_hz", "value", "stderr"]
-        if has_belt:
-            head += ["belt_lo", "belt_hi"]
         writer.writerow(head)
-        for i, f in enumerate(est.frequencies):
-            row = [f"{f:.6f}", repr(float(est.values[i])), repr(float(est.stderr[i]))]
-            if has_belt:
-                row += [repr(float(est.belt_lo[i])), repr(float(est.belt_hi[i]))]
-            writer.writerow(row)
+        for f, *row in zip(est.frequencies, *columns):
+            writer.writerow([f"{f:.6f}", *(repr(float(v)) for v in row)])

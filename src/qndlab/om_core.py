@@ -8,8 +8,6 @@ mode matching.  Everything here is a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ModelError
@@ -254,32 +252,21 @@ def lock_phase_for_signal_phase(
     return float(np.angle(t * np.exp(1j * o) - root_ratio))
 
 
-@dataclass(frozen=True)
-class PortCoefficients:
-    """Linear coefficients of one detection port over the input channels.
-
-    Vacuum channels carry a pair (A, B) multiplying (a_j, a_j^dag);
-    classical real channels carry a single coefficient.  All entries are
-    arrays over the omega grid the set was evaluated on.
-    """
-
-    a: dict  # channel -> A array (vacuum) or coefficient array (classical)
-    b: dict  # channel -> B array (vacuum channels only)
-
-
 def apply_losses_and_modematch(nu: dict, det: DetectionParams) -> dict:
     """Mix the bare output coefficients with loss and mode-match vacua.
 
     Takes the nu1..nu7 coefficient dict of the intracavity output field and
-    returns {"meter": PortCoefficients, "signal": PortCoefficients} over the
-    eight input channels.  The non-mode-matched fraction of the drive
-    bypasses the cavity and beats with an auxiliary vacuum a5; each port
-    then admixes its own detection vacuum (a3 for the meter, a4 for the
-    signal).
+    returns ``{port: {channel: (A, B)}}`` for the "meter" and "signal"
+    ports, A and B multiplying (c, c^dag) for input channel c.  Each port
+    lists only the channels that reach it, in ``CHANNELS`` order; a real
+    classical input is its own conjugate, so its B is its A.  The
+    non-mode-matched fraction of the drive bypasses the cavity and beats
+    with an auxiliary vacuum a5; each port then admixes its own detection
+    vacuum, a3 for the meter and a4 for the signal, which reaches no other
+    port.
     """
     eta_mm = det.eta_modematch
 
-    zeros = np.zeros_like(nu["nu1"])
     # Mode-matching substitutions applied to the bare cavity output; the
     # non-matched field bypasses the cavity and beats with vacuum a5.
     root_mm = np.sqrt(eta_mm * (1.0 - eta_mm))
@@ -303,13 +290,16 @@ def apply_losses_and_modematch(nu: dict, det: DetectionParams) -> dict:
         ("signal", det.eta_signal, "a4"),
     ):
         root = np.sqrt(eta)
-        a = {ch: root * arr for ch, arr in mm_a.items()}
-        b = {ch: root * arr for ch, arr in mm_b.items()}
-        for ch in VACUUM_CHANNELS:
-            a.setdefault(ch, zeros)
-            b.setdefault(ch, zeros)
-        a[own_vacuum] = np.full_like(nu["nu1"], np.sqrt(1.0 - eta))
-        ports[port] = PortCoefficients(a=a, b=b)
+        coef = {}
+        for ch in CHANNELS:
+            if ch == own_vacuum:
+                # the loss beam splitter passes the vacuum's annihilator alone
+                a = np.full_like(nu["nu1"], np.sqrt(1.0 - eta))
+                coef[ch] = (a, np.zeros_like(a))
+            elif ch in mm_a:
+                a = root * mm_a[ch]
+                coef[ch] = (a, root * mm_b[ch]) if ch in mm_b else (a, a)
+        ports[port] = coef
     return ports
 
 
@@ -318,7 +308,7 @@ def output_port_coefficients(
 ) -> dict:
     """Detected-port coefficients after losses and mode matching.
 
-    Returns {"meter": PortCoefficients, "signal": PortCoefficients}
+    Returns ``apply_losses_and_modematch``'s ``{port: {channel: (A, B)}}``
     evaluated on the given (possibly signed) omega grid.  The steady state
     is computed from the mode-matched drive unless supplied.
     """

@@ -51,11 +51,9 @@ def analyze(ds: DataSet | QndFile, cfg: RunConfig) -> Analysis:
         peak_limit=cfg.get_float("estimate", "peak_limit"),
         rms_limit=cfg.get_float("estimate", "rms_limit"),
     )
-    band = (
-        cfg.get_float("estimate", "band_lo_hz"),
-        cfg.get_float("estimate", "band_hi_hz"),
+    seg = estimation.transform(
+        seg, window=cfg.get("estimate", "window"), band=cfg.estimate_band()
     )
-    seg = estimation.transform(seg, window=cfg.get("estimate", "window"), band=band)
     level = ds.config.electronic_noise_level
     electronic = SpectrumEstimate(
         frequencies=seg.frequencies,

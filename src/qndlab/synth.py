@@ -175,10 +175,10 @@ def _check_segment(cfg: SynthConfig, i: int) -> None:
 def _port_tables(system: SystemParams, cfg: SynthConfig):
     """Both ports' quadrature coefficients and the classical PSDs on the rfft grid.
 
-    Returns ``(tables, psd)``.  ``tables[port][ch]`` holds the rows
-    ``_segment`` reads: ``(u(omega), conj(u(-omega)))`` for a vacuum
-    channel, ``(u(omega),)`` for a classical one.  ``psd[ch]`` is a
-    classical channel's input spectrum.
+    Returns ``(tables, psd)``.  ``tables[port][ch]``, for each channel that
+    reaches the port, holds the rows ``_segment`` reads: ``(u(omega),
+    conj(u(-omega)))`` for a vacuum, ``(u(omega),)`` for a classical
+    channel.  ``psd[ch]`` is a classical channel's input spectrum.
 
     ``SpectrumModel`` is evaluated on ``_CHUNK_BINS`` bins of the grid at a
     time, and each chunk is written into its slice of the rows.  Every model
@@ -188,24 +188,6 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
     """
     cfg.validate_band(system)
     m = cfg.segment_length // 2 + 1
-    # All rows sit in one anonymous mapping rather than malloc blocks, so
-    # freeing it returns the memory at once: from malloc, a block under
-    # glibc's 32 MiB cap on the dynamic mmap threshold (27 MB at 2**17
-    # samples) can land on the heap, and the hole it left raised a
-    # 32 x 2**17 run's peak RSS by 46 MB.  Separate tables would leave such
-    # holes between them, which synthesis threads, allocating from their
-    # own arenas, cannot reuse.
-    rows = 2 * len(VACUUM_CHANNELS) + len(CLASSICAL_CHANNELS)
-    coef_bytes = 2 * rows * m * np.dtype(complex).itemsize
-    buf = mmap.mmap(-1, coef_bytes + len(CLASSICAL_CHANNELS) * m * 8)
-    block = np.frombuffer(buf, dtype=complex, count=2 * rows * m).reshape(2, rows, m)
-    psd_rows = np.frombuffer(buf, dtype=float, offset=coef_bytes).reshape(-1, m)
-    psd = dict(zip(CLASSICAL_CHANNELS, psd_rows))
-    tables = {}
-    for port, port_rows in zip(("signal", "meter"), block):
-        free = iter(port_rows)
-        tables[port] = {ch: (next(free), next(free)) for ch in VACUUM_CHANNELS}
-        tables[port].update((ch, (next(free),)) for ch in CLASSICAL_CHANNELS)
     # np.fft.rfftfreq's bins, k * df, one chunk at a time
     df = 1.0 / (cfg.segment_length * (1.0 / cfg.sample_rate))
     for lo in range(0, m, _CHUNK_BINS):
@@ -214,6 +196,8 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
         if lo == 0:
             omega[0] = omega[1] * 1e-6  # avoid the exact-DC corner of the model
         model = SpectrumModel(system, omega)
+        if lo == 0:  # the first chunk's model lays out the rows
+            tables, psd = _table_rows(model.channels, m)
         for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
             for ch, ch_rows in tables[port].items():
                 u_pos, u_neg = model.coefficients(port, ch, phi)
@@ -223,6 +207,28 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
         for ch in CLASSICAL_CHANNELS:
             psd[ch][lo:hi] = model.psd[ch]
     return tables, psd
+
+
+def _table_rows(channels: dict, m: int):
+    """Unfilled ``_port_tables`` rows of ``m`` bins for the ``channels`` of each port."""
+    # All rows sit in one anonymous mapping rather than malloc blocks, so
+    # freeing it returns the memory at once: from malloc, a block under
+    # glibc's 32 MiB cap on the dynamic mmap threshold (27 MB at 2**17
+    # samples) can land on the heap, and the hole it left raised a
+    # 32 x 2**17 run's peak RSS by 46 MB.  Separate tables would leave such
+    # holes between them, which synthesis threads, allocating from their
+    # own arenas, cannot reuse.
+    width = dict.fromkeys(VACUUM_CHANNELS, 2) | dict.fromkeys(CLASSICAL_CHANNELS, 1)
+    rows = sum(width[ch] for chs in channels.values() for ch in chs)
+    coef_bytes = rows * m * np.dtype(complex).itemsize
+    buf = mmap.mmap(-1, coef_bytes + len(CLASSICAL_CHANNELS) * m * 8)
+    free = iter(np.frombuffer(buf, dtype=complex, count=rows * m).reshape(rows, m))
+    tables = {
+        port: {ch: tuple(next(free) for _ in range(width[ch])) for ch in chs}
+        for port, chs in channels.items()
+    }
+    psd_rows = np.frombuffer(buf, dtype=float, offset=coef_bytes).reshape(-1, m)
+    return tables, dict(zip(CLASSICAL_CHANNELS, psd_rows))
 
 
 def _draw(rng, m, out=None):
@@ -255,11 +261,14 @@ def _segment(cfg, tables, psd, rng):
     f_zm = None
     g1, g2 = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
     t1, t2 = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
-    # fixed channel order keeps the draw sequence deterministic
+    # fixed channel order keeps the draw sequence deterministic; a vacuum
+    # is drawn even where one port alone sees it
     for ch in VACUUM_CHANNELS:
         _draw(rng, m, out=g1)
         _draw(rng, m, out=g2)
         for f_out, port in ((f_s, "signal"), (f_m, "meter")):
+            if ch not in tables[port]:
+                continue
             # f_out += scale * (u_pos * g1 + conj(u_neg) * g2)
             u_pos, u_neg_conj = tables[port][ch]
             np.multiply(u_pos, g1, out=t1)

@@ -151,10 +151,12 @@ def fixed_phase_output_spectrum(params: SimpleModelParams, phi, omega):
 ALL_SOURCES = tuple(SOURCE_GROUPS)
 
 
-def _channels(sources) -> tuple:
-    """The channels of ``sources``, in ``CHANNELS`` order."""
+def _channels(sources, *tables) -> tuple:
+    """The channels of ``sources`` that all ``tables`` list, in ``CHANNELS`` order."""
     active = {ch for s in sources for ch in SOURCE_GROUPS[s]}
-    return tuple(ch for ch in CHANNELS if ch in active)
+    return tuple(
+        ch for ch in CHANNELS if ch in active and all(ch in t for t in tables)
+    )
 
 
 class SpectrumModel:
@@ -169,7 +171,8 @@ class SpectrumModel:
     conjugate, so its b is its a; then u(-omega) = conj(u(omega)) and the
     vacuum form 0.5*(|u(omega)|^2 + |u(-omega)|^2) is its |u(omega)|^2.
     Each channel's contribution is weighted by ``psd[c]``, its symmetrized
-    input spectrum: 1 for a vacuum.
+    input spectrum: 1 for a vacuum.  ``channels[port]`` lists the channels
+    that reach the port, and every sum runs over those.
     """
 
     def __init__(self, system: SystemParams, omega):
@@ -180,16 +183,12 @@ class SpectrumModel:
         )
         pos = output_port_coefficients(system, self.omega, self.state)
         neg = output_port_coefficients(system, -self.omega, self.state)
-        # per port and channel: (a(omega), a(-omega), b(omega), b(-omega))
-        self._table = {}
-        for port in ("signal", "meter"):
-            cp, cn = pos[port], neg[port]
-            self._table[port] = {
-                ch: (cp.a[ch], cn.a[ch], cp.b[ch], cn.b[ch])
-                if ch in VACUUM_CHANNELS
-                else (cp.a[ch], cn.a[ch], cp.a[ch], cn.a[ch])
-                for ch in CHANNELS
-            }
+        # per port and each channel that reaches it, in CHANNELS order:
+        # (a(omega), b(omega), a(-omega), b(-omega))
+        self._table = {
+            port: {ch: pos[port][ch] + neg[port][ch] for ch in pos[port]} for port in pos
+        }
+        self.channels = {port: tuple(table) for port, table in self._table.items()}
         self.psd = dict.fromkeys(VACUUM_CHANNELS, 1.0)
         self.psd["eps"] = np.full_like(self.omega, system.drive.epsilon_psd())
         self.psd["zeta"] = system.zeta.psd(self.omega)
@@ -206,7 +205,7 @@ class SpectrumModel:
 
     def coefficients(self, port, channel, phi):
         """Quadrature coefficients u(omega) and u(-omega) of one channel."""
-        a_pos, a_neg, b_pos, b_neg = self._table[port][channel]
+        a_pos, b_pos, a_neg, b_neg = self._table[port][channel]
         e_m, e_p = np.exp(-1j * phi), np.exp(1j * phi)
         return a_pos * e_m + np.conj(b_neg) * e_p, a_neg * e_m + np.conj(b_pos) * e_p
 
@@ -222,7 +221,7 @@ class SpectrumModel:
         port's own detection vacuum is part of the "detection" group.
         """
         total = np.zeros_like(self.omega)
-        for ch in _channels(sources):
+        for ch in _channels(sources, self._table[port]):
             total += self.channel_contribution(port, ch, phi)
         return total
 
@@ -242,8 +241,7 @@ class SpectrumModel:
         zeta = self.system.zeta
         a0 = np.zeros_like(self.omega)
         a2 = np.zeros_like(self.omega, dtype=complex)
-        for ch in CHANNELS:
-            a_pos, a_neg, b_pos, b_neg = self._table[port][ch]
+        for ch, (a_pos, b_pos, a_neg, b_neg) in self._table[port].items():
             h0 = 0.5 * (
                 np.abs(a_pos) ** 2 + np.abs(b_neg) ** 2
                 + np.abs(a_neg) ** 2 + np.abs(b_pos) ** 2
@@ -263,7 +261,7 @@ class SpectrumModel:
         phi_s = self.phi_s if phi_s is None else phi_s
         phi_m = self.phi_m if phi_m is None else phi_m
         total = np.zeros_like(self.omega, dtype=complex)
-        for ch in _channels(sources):
+        for ch in _channels(sources, self._table["signal"], self._table["meter"]):
             ux_pos, ux_neg = self.coefficients("signal", ch, phi_s)
             uy_pos, uy_neg = self.coefficients("meter", ch, phi_m)
             total += (

@@ -512,6 +512,26 @@ class TestCliErrorFamilies:
         assert match in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("text, argv, match", [
+        (SMALL_CFG, ["--band-hz", "121000"], "more than the"),
+        (SMALL_CFG.replace("= 600.0", "= 1e20"), [], "more than the"),
+        (SMALL_CFG.replace("= 120e3\nband_hi_hz = 220e3",
+                           "= 220e3\nband_hi_hz = 100e3"), [], "low edge"),
+    ], ids=["band-flag", "band-key", "inverted-band"])
+    def test_band_rejected_before_reading(self, small_qnd, tmp_path, capsys,
+                                          monkeypatch, text, argv, match):
+        # the header's grid settles these, so no payload sample is read
+        def failing(*args):
+            raise AssertionError("a payload sample was read")
+
+        monkeypatch.setattr(synth.QndFile, "segment", failing)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["estimate", str(small_qnd), "--config", str(cfg),
+                         "--out", str(out), *argv]) == 2
+        assert match in capsys.readouterr().err
+
     def test_sigterm_leaves_no_file(self, tmp_path):
         # SIGTERM during the draws exits 143 after the writer's clean-up;
         # the dataset would take several seconds to draw

@@ -1,6 +1,7 @@
 """Statistics engine: selection, transforms, split-sample residual
 estimators, coherence, calibration, subtraction, banding, diagnostics."""
 
+import csv
 import dataclasses
 import tracemalloc
 
@@ -482,6 +483,26 @@ class TestBandAverage:
             assert np.array_equal(out.belt_hi, out.values + z * out.stderr)
             assert np.array_equal(out.belt_lo, out.values - z * out.stderr)
 
+    def test_belt_survives_a_copy(self, tmp_path):
+        # the belt is computed from values, stderr and its declared z, so a
+        # rescaled copy carries a belt that matches its own values
+        f = np.arange(0.0, 1e4, 100.0)
+        rng = np.random.default_rng(3)
+        est = q.SpectrumEstimate(f, rng.uniform(1, 2, len(f)),
+                                 0.2 * np.ones(len(f)), 16)
+        banded = q.band_average(est, 300.0, confidence=0.9)
+        copy = banded.normalized_by(2.0)
+        assert copy.belt_z == banded.belt_z
+        assert copy.band_width_hz == banded.band_width_hz
+        assert np.array_equal(copy.belt_lo, copy.values - copy.belt_z * copy.stderr)
+        assert np.array_equal(copy.belt_hi, copy.values + copy.belt_z * copy.stderr)
+        path = tmp_path / "copy.csv"
+        q.write_spectrum_csv(copy, path)
+        rows = _read_csv_rows(path)
+        assert rows[0] == ["frequency_hz", "value", "stderr", "belt_lo", "belt_hi"]
+        assert [float(r[3]) for r in rows[1:]] == list(copy.belt_lo)
+        assert est.belt_lo is None and est.belt_hi is None
+
     def test_normal_quantile_matches_ndtri(self):
         # every branch: the central third, both tails with sqrt(-2 log p)
         # below and above 8, and the points next to the branch edges
@@ -555,6 +576,11 @@ class TestDeterminism:
             seg = q.transform(q.segment_and_select(small_dataset))
             return q.residual_single(seg, "sum", "meter").values
         assert np.array_equal(run(), run())
+
+
+def _read_csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestCsvExport:

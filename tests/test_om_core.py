@@ -9,6 +9,7 @@ import pytest
 import qndlab as q
 from qndlab import theory
 from qndlab.errors import ModelError
+from qndlab.om_core import CLASSICAL_CHANNELS
 
 HBAR = 1.0545718176461565e-34
 TWO_PI = 2.0 * np.pi
@@ -240,20 +241,17 @@ class TestTransferCoefficients:
         pa = q.output_port_coefficients(system, w, st)
         pb = q.output_port_coefficients(system, w, flipped)
         for port in ("meter", "signal"):
-            for ch in pa[port].a:
-                np.testing.assert_allclose(
-                    np.abs(pa[port].a[ch]) ** 2, np.abs(pb[port].a[ch]) ** 2,
-                    rtol=1e-12, atol=1e-300,
-                )
-            for ch in pa[port].b:
-                np.testing.assert_allclose(
-                    np.abs(pa[port].b[ch]) ** 2, np.abs(pb[port].b[ch]) ** 2,
-                    rtol=1e-12, atol=1e-300,
-                )
-        for ch in pa["meter"].a:
+            assert list(pa[port]) == list(pb[port])
+            for ch, coef in pa[port].items():
+                for x, y in zip(coef, pb[port][ch]):  # A, then B
+                    np.testing.assert_allclose(
+                        np.abs(x) ** 2, np.abs(y) ** 2, rtol=1e-12, atol=1e-300,
+                    )
+        # the channels both ports see
+        for ch in pa["meter"].keys() & pa["signal"].keys():
             np.testing.assert_allclose(
-                pa["meter"].a[ch] * np.conj(pa["signal"].a[ch]),
-                pb["meter"].a[ch] * np.conj(pb["signal"].a[ch]),
+                pa["meter"][ch][0] * np.conj(pa["signal"][ch][0]),
+                pb["meter"][ch][0] * np.conj(pb["signal"][ch][0]),
                 rtol=1e-12, atol=1e-300,
             )
 
@@ -394,14 +392,14 @@ class TestLossesAndModeMatching:
         ports = q.apply_losses_and_modematch(nu, det)
         for port in ("meter", "signal"):
             p = ports[port]
-            np.testing.assert_allclose(p.a["a1"], nu["nu1"], rtol=1e-12)
-            np.testing.assert_allclose(p.b["a1"], nu["nu2"], rtol=1e-12)
-            np.testing.assert_allclose(p.a["a2"], nu["nu3"], rtol=1e-12)
-            np.testing.assert_allclose(p.b["a2"], nu["nu4"], rtol=1e-12)
-            np.testing.assert_allclose(p.a["zeta"], nu["nu5"], rtol=1e-12)
-            np.testing.assert_allclose(p.a["eps"], nu["nu6"], rtol=1e-12)
-            np.testing.assert_allclose(p.a["xi"], nu["nu7"], rtol=1e-12)
-            np.testing.assert_allclose(p.a["a5"], 0.0, atol=1e-12)
+            np.testing.assert_allclose(p["a1"][0], nu["nu1"], rtol=1e-12)
+            np.testing.assert_allclose(p["a1"][1], nu["nu2"], rtol=1e-12)
+            np.testing.assert_allclose(p["a2"][0], nu["nu3"], rtol=1e-12)
+            np.testing.assert_allclose(p["a2"][1], nu["nu4"], rtol=1e-12)
+            np.testing.assert_allclose(p["zeta"][0], nu["nu5"], rtol=1e-12)
+            np.testing.assert_allclose(p["eps"][0], nu["nu6"], rtol=1e-12)
+            np.testing.assert_allclose(p["xi"][0], nu["nu7"], rtol=1e-12)
+            np.testing.assert_allclose(p["a5"][0], 0.0, atol=1e-12)
 
     def test_dark_signal_port(self, system):
         st = _state(system)
@@ -409,12 +407,28 @@ class TestLossesAndModeMatching:
         nu = q.transfer_coefficients(st, system.cavity, system.mech, w)
         det = dataclasses.replace(system.det, eta_signal=0.0)
         p = q.apply_losses_and_modematch(nu, det)["signal"]
-        np.testing.assert_allclose(p.a["a4"], 1.0, rtol=1e-12)
-        for ch, arr in p.a.items():
+        np.testing.assert_allclose(p["a4"][0], 1.0, rtol=1e-12)
+        for ch, (a, b) in p.items():
             if ch != "a4":
-                np.testing.assert_allclose(arr, 0.0, atol=1e-12)
-        for arr in p.b.values():
-            np.testing.assert_allclose(arr, 0.0, atol=1e-12)
+                np.testing.assert_allclose(a, 0.0, atol=1e-12)
+            np.testing.assert_allclose(b, 0.0, atol=1e-12)
+
+    def test_each_port_lists_the_channels_that_reach_it(self, system):
+        # each detector mixes in its own loss vacuum: a3 reaches only the
+        # meter, a4 only the signal; a classical input's B is its A
+        w = np.linspace(0.9, 1.1, 8) * system.mech.omega_m
+        ports = q.output_port_coefficients(system, w)
+        model = theory.SpectrumModel(system, w)
+        expected = {
+            "meter": ("a1", "a2", "a3", "a5", "eps", "zeta", "xi"),
+            "signal": ("a1", "a2", "a4", "a5", "eps", "zeta", "xi"),
+        }
+        for port, channels in expected.items():
+            assert tuple(ports[port]) == channels, port
+            assert model.channels[port] == channels, port
+            for ch in CLASSICAL_CHANNELS:
+                a, b = ports[port][ch]
+                assert b is a, (port, ch)
 
     def test_passivity_with_reference_losses(self, system):
         # eta_s = 0.69, eta_mm = 0.90: vacuum in, vacuum out

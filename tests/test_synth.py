@@ -368,16 +368,33 @@ class TestPortTables:
         omega[0] = omega[1] * 1e-6
         model = theory.SpectrumModel(system, omega)
         for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
-            for ch in om_core.VACUUM_CHANNELS:
+            assert tuple(tables[port]) == model.channels[port], port
+            for ch in model.channels[port]:
                 u_pos, u_neg = model.coefficients(port, ch, phi)
-                assert np.array_equal(tables[port][ch][0], u_pos), (port, ch)
-                assert np.array_equal(tables[port][ch][1], np.conj(u_neg)), (port, ch)
-            for ch in om_core.CLASSICAL_CHANNELS:
-                (u_pos,) = tables[port][ch]
-                assert np.array_equal(u_pos, model.coefficients(port, ch, phi)[0])
+                if ch in om_core.VACUUM_CHANNELS:
+                    assert np.array_equal(tables[port][ch][0], u_pos), (port, ch)
+                    assert np.array_equal(tables[port][ch][1], np.conj(u_neg)), (
+                        port, ch,
+                    )
+                else:
+                    (row,) = tables[port][ch]
+                    assert np.array_equal(row, u_pos), (port, ch)
         assert sorted(psd) == sorted(om_core.CLASSICAL_CHANNELS)
         for ch, row in psd.items():
             assert np.array_equal(row, model.psd[ch]), ch
+
+    def test_mapping_holds_only_the_channels_each_port_sees(self, system):
+        # each port sees four vacua (two rows each) and three classical
+        # inputs: 2 x 11 complex rows, then the 3 classical PSD rows
+        length = 2**12
+        tables, psd = synth._port_tables(system, q.SynthConfig(segment_length=length))
+        m = length // 2 + 1
+        base = tables["signal"]["a1"][0]
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert len(base) == (2 * 11 * 16 + 3 * 8) * m
+        assert sum(len(rows) for t in tables.values() for rows in t.values()) == 22
+        assert len(psd) == 3
 
     def test_traced_peak_does_not_grow_with_the_segment(self, system):
         # the rows live in an untraced anonymous mapping; what malloc holds
