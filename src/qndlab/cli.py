@@ -8,7 +8,8 @@ Exit codes, carried by the error families of ``errors``:
   2  ConfigError: bad config file, key, flag or [synth] value, a run config
      that did not make the dataset, ``fit`` on a vacuum-only dataset, an
      inverted estimate band, a band-average width wider than that band,
-     ``n_multistarts`` outside 1 to 1000
+     ``n_multistarts`` outside 1 to 1000; the checks on the dataset's
+     header run before any payload sample is read
   3  FormatError or OSError: missing or malformed dataset file
   4  StatisticsError: too few segments, singular systems, degenerate
      targets, an estimate band off the grid
@@ -54,37 +55,37 @@ def _analyze_dataset(cfg: RunConfig, path, vacuum_only_ok: bool,
                      band_width_hz=None) -> Analysis:
     """Analyze the dataset file at ``path``, rejecting a run config that did not make it.
 
-    The band and ``band_width_hz`` are checked first, on the header's grid.
-    The file is read as the analysis goes, a segment at a time, so its
-    selection pass is what finds a non-finite sample (exit 3).  Then the run
-    config's system, or its vacuum-only variant if ``vacuum_only_ok``, must
-    hash to the dataset's ``config_hash``, and its ``[synth]`` settings must
-    equal the header's; the seed is not compared.
+    Everything that needs only the header is checked before any payload
+    sample is read: first the band and ``band_width_hz``, on the header's
+    grid; then the run config's system, or its vacuum-only variant if
+    ``vacuum_only_ok``, must hash to the dataset's ``config_hash``, and its
+    ``[synth]`` settings must equal the header's; the seed is not compared.
+    The file is then read as the analysis goes, a segment at a time, so its
+    selection pass is what finds a non-finite sample (exit 3).
     """
     with synth.QndFile(path) as ds:
         estimation.band_grid(ds.config, cfg.estimate_band(), band_width_hz)
-        analysis = analyze(ds, cfg)
-    system = cfg.system()
-    driven = system.config_hash()
-    if ds.config_hash not in (driven, system.vacuum_only().config_hash()):
-        raise ConfigError(
-            f"{path}: the dataset's system hash {ds.config_hash} is not the run "
-            f"config's {driven} (nor its vacuum-only variant's)"
-        )
-    if ds.config_hash != driven and not vacuum_only_ok:
-        raise ConfigError(
-            f"{path}: the dataset is vacuum-only (synth --vacuum-only), "
-            "which carries no drive to fit"
-        )
-    run = cfg.synth_config(seed=ds.config.seed)
-    for f in dataclasses.fields(run):
-        have, want = getattr(ds.config, f.name), getattr(run, f.name)
-        if have != want:
+        system = cfg.system()
+        driven = system.config_hash()
+        if ds.config_hash not in (driven, system.vacuum_only().config_hash()):
             raise ConfigError(
-                f"{path}: synthesized with {f.name} = {have!r}, "
-                f"but the run config gives {want!r}"
+                f"{path}: the dataset's system hash {ds.config_hash} is not the run "
+                f"config's {driven} (nor its vacuum-only variant's)"
             )
-    return analysis
+        if ds.config_hash != driven and not vacuum_only_ok:
+            raise ConfigError(
+                f"{path}: the dataset is vacuum-only (synth --vacuum-only), "
+                "which carries no drive to fit"
+            )
+        run = cfg.synth_config(seed=ds.config.seed)
+        for f in dataclasses.fields(run):
+            have, want = getattr(ds.config, f.name), getattr(run, f.name)
+            if have != want:
+                raise ConfigError(
+                    f"{path}: synthesized with {f.name} = {have!r}, "
+                    f"but the run config gives {want!r}"
+                )
+        return analyze(ds, cfg)
 
 
 def cmd_theory(cfg: RunConfig, args) -> int:

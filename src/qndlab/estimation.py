@@ -537,9 +537,16 @@ def _normal_quantile(p: float) -> float:
 
 
 def _band_bins(band_width_hz: float, frequencies: np.ndarray) -> tuple[int, float]:
-    """Bins of a finite ``band_width_hz`` on ``frequencies``, at most all, and df."""
+    """Bins of a finite ``band_width_hz`` on ``frequencies``, at most all, and df.
+
+    Fewer than two bins have no spacing to measure a width by.
+    """
     if not math.isfinite(band_width_hz):
         raise ConfigError(f"band width must be finite, got {band_width_hz!r} Hz")
+    if len(frequencies) < 2:
+        raise StatisticsError(
+            f"banding needs at least two bins, got {len(frequencies)}"
+        )
     df = float(np.mean(np.diff(frequencies)))
     n_bins = max(int(round(band_width_hz / df)), 1)
     if n_bins > len(frequencies):

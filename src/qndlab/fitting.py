@@ -13,7 +13,9 @@ At a fixed detuning the signal spectrum is exactly
 new model.  The fit is therefore a variable projection (Golub & Pereyra,
 SIAM J. Numer. Anal. 10, 413 (1973)): a bounded Brent search over the
 detuning whose objective is the loss already minimized over (phi_s, b)
-by a projected Levenberg-Marquardt solve on that one model.
+by a projected Levenberg-Marquardt solve on that one model.  That solve
+always has both unknowns: a parameter that is not free is held by equal
+lower and upper bounds at its fixed value.
 """
 
 from __future__ import annotations
@@ -135,28 +137,18 @@ def with_params(system: SystemParams, params: dict) -> SystemParams:
 
 
 class _Spectrum:
-    """The signal spectrum at one detuning as a function of (phi_s, b).
+    """The signal spectrum at one detuning as a function of (phi_s, b)."""
 
-    With the background fixed, b * B is folded into A and ``b`` is unused.
-    """
-
-    def __init__(self, model: SpectrumModel, fixed_background):
+    def __init__(self, model: SpectrumModel):
         a0, a2, b0, b2 = model.phase_harmonics("signal")
         self.phi_s = model.phi_s
-        if fixed_background is not None:
-            a0 = a0 + fixed_background * b0
-            a2 = a2 + fixed_background * b2
-            self.b = None
-        else:
-            self.b = (b0, b2.real, b2.imag)
         self.a = (a0, a2.real, a2.imag)
+        self.b = (b0, b2.real, b2.imag)
 
     def value_and_slopes(self, phi, b):
-        """S and its derivatives dS/dphi_s and dS/db (None when b is fixed)."""
+        """S and its derivatives dS/dphi_s and dS/db."""
         c, s = np.cos(2.0 * phi), np.sin(2.0 * phi)
         a0, a_re, a_im = self.a
-        if self.b is None:
-            return a0 + c * a_re + s * a_im, 2.0 * (c * a_im - s * a_re), None
         b0, b_re, b_im = self.b
         per_b = b0 + c * b_re + s * b_im
         value = a0 + c * a_re + s * a_im + b * per_b
@@ -174,7 +166,15 @@ class _Point:
 
 
 class _Profile:
-    """The loss, its minimum over (phi_s, b) at one detuning, and the builds."""
+    """The loss, its minimum over (phi_s, b) at one detuning, and the builds.
+
+    The inner unknowns are always x = (phi_s, b / width_b), width_b the
+    background's bound width.  A parameter missing from ``free_params`` is
+    held by equal lower and upper bounds at its fixed value: phi_s at the
+    ``phi_s`` of the spectrum being solved, which follows the lock phase
+    when ``signal_phase`` is None, and b at ``system.zeta.background``, with
+    unit scale.
+    """
 
     def __init__(self, problem: FitProblem, omega, weights, log_target):
         self.system = problem.system
@@ -183,35 +183,21 @@ class _Profile:
         self.log_target = log_target
         self.builds = 0
         bounds = problem.free_params
-        self.fixed_background = (
-            None if "zeta_background" in bounds else self.system.zeta.background
-        )
-        # the inner unknowns: phi_s in rad, b in units of its bound width
-        self.inner = [n for n in ("phi_s", "zeta_background") if n in bounds]
-        self.free_phi = "phi_s" in bounds
-        self.scale = np.array(
-            [1.0 if n == "phi_s" else bounds[n][1] - bounds[n][0] for n in self.inner]
-        )
-        self.lo = np.array([bounds[n][0] for n in self.inner]) / self.scale
-        self.hi = np.array([bounds[n][1] for n in self.inner]) / self.scale
-        self.width = self.hi - self.lo
+        self.phi_bounds = bounds.get("phi_s")
+        background = self.system.zeta.background
+        self.b_bounds = bounds.get("zeta_background", (background, background))
+        self.scale = np.array([1.0, (self.b_bounds[1] - self.b_bounds[0]) or 1.0])
 
     def spectrum(self, detuning=None) -> _Spectrum:
         system = self.system
         if detuning is not None:
             system = with_params(system, {"detuning": detuning})
         self.builds += 1
-        return _Spectrum(SpectrumModel(system, self.omega), self.fixed_background)
+        return _Spectrum(SpectrumModel(system, self.omega))
 
-    def _unpack(self, spec, x, b):
-        """(phi_s, b) at the inner unknowns x; a fixed phi_s is the model's."""
-        phi = spec.phi_s
-        for name, v, s in zip(self.inner, x, self.scale):
-            if name == "phi_s":
-                phi = v * s
-            else:
-                b = v * s
-        return phi, b
+    def _bounds(self, spec):
+        """Rows lo and hi of (phi_s, b) at ``spec``; a held parameter has lo == hi."""
+        return np.array([self.phi_bounds or (spec.phi_s, spec.phi_s), self.b_bounds]).T
 
     def _residual(self, value):
         if np.any(value <= 0):
@@ -219,8 +205,8 @@ class _Profile:
         return self.root_w * (np.log(value) - self.log_target)
 
     def loss(self, spec, phi, b) -> float:
-        """Weighted log-spectral loss; a fixed phi_s is the model's."""
-        phi = phi if self.free_phi else spec.phi_s
+        """Weighted log-spectral loss; a held parameter takes its held value."""
+        phi, b = np.clip([phi, b], *self._bounds(spec))
         r = self._residual(spec.value_and_slopes(phi, b)[0])
         return np.inf if r is None else float(r @ r)
 
@@ -230,17 +216,17 @@ class _Profile:
         Starts from (phi, b) and returns (phi, b, loss, converged); the loss
         never exceeds the starting one.  Bounds are handled by clipping the
         step and by freezing each unknown that sits on a bound while the
-        gradient pushes it outward.  It stops once a step moves no unknown
-        by more than ``_INNER_XTOL`` of its bound width or lowers the loss
-        by less than ``_INNER_FTOL`` of it.
+        gradient pushes it outward, which holds a parameter that is not
+        free at its value.  It stops once a step moves no unknown by more
+        than ``_INNER_XTOL`` of its bound width or lowers the loss by less
+        than ``_INNER_FTOL`` of it.
         """
-        if not self.inner:
-            return spec.phi_s, b, self.loss(spec, phi, b), True
-        x = np.array([(phi if n == "phi_s" else b) for n in self.inner]) / self.scale
-        x = np.clip(x, self.lo, self.hi)
+        lo, hi = self._bounds(spec) / self.scale
+        width = hi - lo
+        x = np.clip(np.array([phi, b]) / self.scale, lo, hi)
 
         def evaluate(x):
-            phi_x, b_x = self._unpack(spec, x, b)
+            phi_x, b_x = x * self.scale
             value, d_phi, d_b = spec.value_and_slopes(phi_x, b_x)
             r = self._residual(value)
             f = np.inf if r is None else float(r @ r)
@@ -251,12 +237,10 @@ class _Profile:
             return phi, b, f, False
         lam = 1e-3
         for _ in range(_INNER_MAX_ITER):
-            jac = np.array(
-                [slopes[n == "zeta_background"] * s for n, s in zip(self.inner, self.scale)]
-            ) * (self.root_w / value)
+            jac = np.array(slopes) * self.scale[:, None] * (self.root_w / value)
             grad = jac @ r
             jtj = jac @ jac.T
-            fixed = ((x <= self.lo) & (grad > 0)) | ((x >= self.hi) & (grad < 0))
+            fixed = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
             if fixed.all():
                 return phi, b, f, True
             grad[fixed] = 0.0
@@ -266,8 +250,8 @@ class _Profile:
             damp[damp <= 0] = 1.0
             while True:
                 step = np.linalg.solve(jtj + lam * np.diag(damp), -grad)
-                x_new = np.clip(x + step, self.lo, self.hi)
-                small = np.all(np.abs(x_new - x) <= _INNER_XTOL * self.width)
+                x_new = np.clip(x + step, lo, hi)
+                small = np.all(np.abs(x_new - x) <= _INNER_XTOL * width)
                 trial = evaluate(x_new)
                 if trial[-1] <= f:
                     break
@@ -284,7 +268,8 @@ class _Profile:
 
     def search(self, start: dict, det_bounds, shared, max_evals):
         """One start: (best point, loss at the start, converged)."""
-        phi0, b0 = start.get("phi_s"), start.get("zeta_background")
+        # a held parameter's start is clipped to its held value
+        phi0, b0 = start.get("phi_s", 0.0), start.get("zeta_background", 0.0)
         if det_bounds is None:
             start_loss = self.loss(shared, phi0, b0)
             phi, b, f, ok = self.solve(shared, phi0, b0)
@@ -328,7 +313,7 @@ class _Profile:
                 logs = []
                 for det in (point.detuning + det_step, point.detuning - det_step):
                     side = self.spectrum(det)
-                    side_phi = point.phi_s if self.free_phi else side.phi_s
+                    side_phi = np.clip(point.phi_s, *self._bounds(side)[:, 0])
                     logs.append(
                         np.log(side.value_and_slopes(side_phi, point.background)[0])
                     )

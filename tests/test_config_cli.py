@@ -39,6 +39,10 @@ band_hi_hz = 190e3
 """
 
 
+def _no_payload_read(*args):
+    raise AssertionError("a payload sample was read")
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
@@ -371,7 +375,10 @@ class TestCliErrorFamilies:
         bad = tmp_path / "nan.qnd"
         nan = np.array([np.nan], dtype="<f8").tobytes()
         bad.write_bytes(small_qnd.read_bytes()[:-8] + nan)  # the last meter sample
-        assert cli.main(["estimate", str(bad), "--out", str(tmp_path)]) == 3
+        run = tmp_path / "run.cfg"
+        run.write_text(SMALL_CFG)  # a run config that made it, checked first
+        assert cli.main(["estimate", str(bad), "--config", str(run),
+                         "--out", str(tmp_path)]) == 3
         assert "non-finite samples in meter channel" in capsys.readouterr().err
 
     def test_non_finite_in_rejected_segment_exit_3(self, small_qnd, tmp_path, capsys):
@@ -521,10 +528,7 @@ class TestCliErrorFamilies:
     def test_band_rejected_before_reading(self, small_qnd, tmp_path, capsys,
                                           monkeypatch, text, argv, match):
         # the header's grid settles these, so no payload sample is read
-        def failing(*args):
-            raise AssertionError("a payload sample was read")
-
-        monkeypatch.setattr(synth.QndFile, "segment", failing)
+        monkeypatch.setattr(synth.QndFile, "segment", _no_payload_read)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"
@@ -597,7 +601,10 @@ class TestDatasetMatchesConfig:
 
     @pytest.mark.parametrize("command", ["estimate", "fit"])
     @pytest.mark.parametrize("name", sorted(MISMATCHED))
-    def test_mismatch_exit_2(self, small_qnd, tmp_path, capsys, command, name):
+    def test_mismatch_exit_2(self, small_qnd, tmp_path, capsys, monkeypatch,
+                             command, name):
+        # the header settles the match, so no payload sample is read
+        monkeypatch.setattr(synth.QndFile, "segment", _no_payload_read)
         assert self._run(command, small_qnd, MISMATCHED[name], tmp_path) == 2
         assert name in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
@@ -605,7 +612,7 @@ class TestDatasetMatchesConfig:
     def test_seed_is_not_compared(self, small_qnd, tmp_path):
         assert self._run("estimate", small_qnd, SMALL_CFG, tmp_path) == 0
 
-    def test_vacuum_only_dataset(self, tmp_path, capsys):
+    def test_vacuum_only_dataset(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_CFG)
         assert cli.main(["synth", "--vacuum-only", "--config", str(cfg),
@@ -614,6 +621,8 @@ class TestDatasetMatchesConfig:
                          tmp_path) == 0
         fit_out = tmp_path / "fit"
         fit_out.mkdir()
+        # the header settles the rejection, so no payload sample is read
+        monkeypatch.setattr(synth.QndFile, "segment", _no_payload_read)
         assert self._run("fit", tmp_path / "dataset.qnd", SMALL_CFG, fit_out) == 2
         assert "vacuum-only" in capsys.readouterr().err
         assert sorted(p.name for p in fit_out.iterdir()) == ["run.cfg"]

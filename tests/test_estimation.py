@@ -457,6 +457,13 @@ class TestBandAverage:
         np.testing.assert_allclose(out.values, est.values)
         np.testing.assert_allclose(out.stderr, est.stderr)
 
+    def test_one_bin_raises_statistics_error(self, recwarn):
+        # one bin has no spacing to measure a width by
+        est = q.SpectrumEstimate(np.array([1000.0]), np.ones(1), np.ones(1), 4)
+        with pytest.raises(StatisticsError, match="at least two bins"):
+            q.band_average(est, 150.0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_white_error_shrinks(self):
         f = np.arange(0.0, 1e5, 10.0)
         est = q.SpectrumEstimate(f, np.ones(len(f)), 0.1 * np.ones(len(f)), 16)

@@ -1,5 +1,6 @@
 """Parameter recovery: self-consistency, noise robustness, degeneracy guard."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -201,17 +202,22 @@ def _loss_at(system, f, target, stderr):
 
 class TestProfileFit:
     @pytest.mark.parametrize(
-        "free",
+        "free, lock",
         [
-            ("detuning",),
-            ("phi_s",),
-            ("zeta_background",),
-            ("detuning", "phi_s"),
-            ("detuning", "zeta_background"),
-            ("phi_s", "zeta_background"),
+            (("detuning",), False),
+            (("phi_s",), False),
+            (("zeta_background",), False),
+            (("detuning", "phi_s"), False),
+            (("detuning", "zeta_background"), False),
+            (("phi_s", "zeta_background"), False),
+            # no signal phase: the held phi_s follows each model's lock phase
+            (("detuning", "zeta_background"), True),
         ],
+        ids=[f"free{i}" for i in range(6)] + ["lock-phase"],
     )
-    def test_noiseless_recovery_of_every_subset(self, system, free):
+    def test_noiseless_recovery_of_every_subset(self, system, free, lock):
+        if lock:
+            system = dataclasses.replace(system, signal_phase=None)
         kappa, bg = system.cavity.kappa, system.zeta.background
         moved = {"detuning": -0.02 * kappa, "phi_s": -0.031, "zeta_background": 1.7 * bg}
         truth = fitting.with_params(system, {n: moved[n] for n in free})
@@ -227,6 +233,28 @@ class TestProfileFit:
             assert np.isfinite(r.uncertainty[name]) and r.uncertainty[name] > 0
         assert r.loss < 1e-16
         assert not r.degenerate
+
+    @pytest.mark.parametrize(
+        "free", [("detuning",), ("phi_s",), ("zeta_background",)]
+    )
+    def test_solve_returns_the_held_values(self, system, free):
+        # a parameter that is not free has equal bounds at its held value,
+        # which the solve returns bit for bit from any start
+        system = dataclasses.replace(system, signal_phase=None)
+        f = np.linspace(145e3, 195e3, 100)
+        s = _signal_spectrum(system, f)
+        prob = fitting.FitProblem(system, f, s, 0.02 * s, _bounds(system, free))
+        weights = np.full(f.size, 1.0 / f.size)
+        profile = fitting._Profile(prob, TWO_PI * f, weights, np.log(s))
+        bg = system.zeta.background
+        for detuning in (-0.01 * system.cavity.kappa, -0.025 * system.cavity.kappa):
+            spec = profile.spectrum(detuning)
+            phi, b, loss, _ = profile.solve(spec, -0.04, 3.0 * bg)
+            assert np.isfinite(loss)
+            if "phi_s" not in free:
+                assert phi == spec.phi_s
+            if "zeta_background" not in free:
+                assert b == bg
 
     def test_loss_at_or_below_the_truth(self, system):
         names = ("detuning", "phi_s", "zeta_background")
