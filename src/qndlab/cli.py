@@ -8,6 +8,7 @@ Exit codes, carried by the error families of ``errors``:
   2  ConfigError: bad config file, key, flag or [synth] value, a run config
      that did not make the dataset, ``fit`` on a vacuum-only dataset, an
      inverted estimate band, a band-average width wider than that band,
+     an analysis frequency outside it, a belt confidence outside (0, 1),
      ``n_multistarts`` outside 1 to 1000; the checks on the dataset's
      header run before any payload sample is read
   3  FormatError or OSError: missing or malformed dataset file
@@ -52,19 +53,21 @@ def _system(cfg: RunConfig, vacuum_only: bool):
 
 
 def _analyze_dataset(cfg: RunConfig, path, vacuum_only_ok: bool,
-                     band_width_hz=None) -> Analysis:
+                     band_width_hz=None, confidence=None) -> Analysis:
     """Analyze the dataset file at ``path``, rejecting a run config that did not make it.
 
     Everything that needs only the header is checked before any payload
-    sample is read: first the band and ``band_width_hz``, on the header's
-    grid; then the run config's system, or its vacuum-only variant if
+    sample is read: first the band, ``band_width_hz`` and the belt
+    ``confidence``, on the header's grid, and the analysis frequency inside
+    the band; then the run config's system, or its vacuum-only variant if
     ``vacuum_only_ok``, must hash to the dataset's ``config_hash``, and its
     ``[synth]`` settings must equal the header's; the seed is not compared.
     The file is then read as the analysis goes, a segment at a time, so its
     selection pass is what finds a non-finite sample (exit 3).
     """
     with synth.QndFile(path) as ds:
-        estimation.band_grid(ds.config, cfg.estimate_band(), band_width_hz)
+        estimation.band_grid(ds.config, cfg.estimate_band(), band_width_hz, confidence)
+        cfg.analysis_freq_hz()
         system = cfg.system()
         driven = system.config_hash()
         if ds.config_hash not in (driven, system.vacuum_only().config_hash()):
@@ -183,13 +186,13 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         if args.band_hz is not None
         else cfg.get_float("estimate", "band_average_hz")
     )
+    confidence = cfg.get_float("estimate", "confidence")
     analysis = _analyze_dataset(cfg, args.dataset, vacuum_only_ok=True,
-                                band_width_hz=width)
+                                band_width_hz=width, confidence=confidence)
     seg = analysis.seg
     res = residual(seg)
     res_n = analysis.normalized(res)
     msc = estimation.msc_estimate(seg)
-    confidence = cfg.get_float("estimate", "confidence")
     banded = estimation.band_average(res_n, width, confidence)
     diag = estimation.split_consistency(res)
     out = args.out

@@ -227,6 +227,21 @@ class RunConfig:
             self.get_float("estimate", "band_hi_hz"),
         )
 
+    def analysis_freq_hz(self) -> float:
+        """The ``[estimate]`` analysis frequency in Hz, inside ``estimate_band``.
+
+        The SQL reference is the shot-noise calibration line read at this
+        frequency; outside the band it would be an extrapolation.
+        """
+        lo, hi = self.estimate_band()
+        freq = self.get_float("estimate", "analysis_freq_hz")
+        if not lo <= freq <= hi:
+            raise ConfigError(
+                f"[estimate] analysis_freq_hz: {freq:g} Hz lies outside the "
+                f"estimate band {lo:g}-{hi:g} Hz"
+            )
+        return freq
+
     def fit_bounds(self, kappa: float) -> dict:
         names = [
             n.strip() for n in self.get("fit", "free_params").split(",") if n.strip()

@@ -224,13 +224,17 @@ def transform(
     )
 
 
-def band_grid(config: SynthConfig, band: tuple | None, band_width_hz=None):
+def band_grid(config: SynthConfig, band: tuple | None, band_width_hz=None,
+              confidence=None):
     """The rfft grid of a ``config`` dataset, and its slice ``lo:hi`` inside ``band``.
 
     Raises, as ``transform`` and ``band_average`` would, for an inverted or
-    off-grid ``band`` and for a non-finite ``band_width_hz`` or one wider
-    than the band, before any sample is read.
+    off-grid ``band``, for a non-finite ``band_width_hz`` or one wider
+    than the band, and for a belt ``confidence`` outside (0, 1), before any
+    sample is read.
     """
+    if confidence is not None:
+        _belt_z(confidence)
     freqs = np.fft.rfftfreq(config.segment_length, 1.0 / config.sample_rate)
     if band is None:
         return freqs, 0, len(freqs)
@@ -536,6 +540,15 @@ def _normal_quantile(p: float) -> float:
     return x if upper else -x
 
 
+def _belt_z(confidence: float) -> float:
+    """The normal quantile of a two-sided belt holding ``confidence``, in (0, 1)."""
+    if not 0.0 < confidence < 1.0:
+        raise ConfigError(
+            f"confidence must lie strictly between 0 and 1, got {confidence!r}"
+        )
+    return _normal_quantile(0.5 + confidence / 2.0)
+
+
 def _band_bins(band_width_hz: float, frequencies: np.ndarray) -> tuple[int, float]:
     """Bins of a finite ``band_width_hz`` on ``frequencies``, at most all, and df.
 
@@ -564,7 +577,8 @@ def band_average(
 
     The result carries the belt's normal quantile ``belt_z``, so its belt and
     any copy's is ``values -+ belt_z * stderr``.  The band must span at
-    least one bin and at most the whole spectrum.
+    least one bin and at most the whole spectrum, and ``confidence`` must
+    lie in (0, 1).
     """
     n_bins, df = _band_bins(band_width_hz, est.frequencies)
     if band_width_hz < df:
@@ -578,7 +592,7 @@ def band_average(
     stderr = np.sqrt(np.convolve(est.stderr**2, kernel**2, mode="same")) / overlap
     return replace(
         est, values=values, stderr=stderr, band_width_hz=n_bins * df,
-        belt_z=_normal_quantile(0.5 + confidence / 2.0),
+        belt_z=_belt_z(confidence),
     )
 
 

@@ -263,7 +263,8 @@ def apply_losses_and_modematch(nu: dict, det: DetectionParams) -> dict:
     non-mode-matched fraction of the drive bypasses the cavity and beats
     with an auxiliary vacuum a5; each port then admixes its own detection
     vacuum, a3 for the meter and a4 for the signal, which reaches no other
-    port.
+    port.  That vacuum's (A, B) is the same at every frequency, so it is a
+    pair of scalars; every other entry is an array over omega.
     """
     eta_mm = det.eta_modematch
 
@@ -294,8 +295,7 @@ def apply_losses_and_modematch(nu: dict, det: DetectionParams) -> dict:
         for ch in CHANNELS:
             if ch == own_vacuum:
                 # the loss beam splitter passes the vacuum's annihilator alone
-                a = np.full_like(nu["nu1"], np.sqrt(1.0 - eta))
-                coef[ch] = (a, np.zeros_like(a))
+                coef[ch] = (np.sqrt(1.0 - eta), 0.0)
             elif ch in mm_a:
                 a = root * mm_a[ch]
                 coef[ch] = (a, root * mm_b[ch]) if ch in mm_b else (a, a)

@@ -222,11 +222,15 @@ class SystemParams:
         return replace(self.drive, power=self.drive.power * self.det.eta_modematch)
 
     def xi_psd(self, omega):
-        """Brownian force spectral density in zero-point-normalized units."""
+        """Brownian force spectral density in zero-point-normalized units.
+
+        An array over ``omega`` under "frequency" scaling; under "flat" it
+        is the same at every frequency, and returned as that one scalar.
+        """
         base = 2.0 * self.mech.gamma_m * (self.mech.n_thermal + 0.5)
         if self.thermal_force_scaling == "frequency":
             return base * np.abs(np.asarray(omega, dtype=float)) / self.mech.omega_m
-        return base * np.ones_like(np.asarray(omega, dtype=float))
+        return base
 
     def vacuum_only(self) -> "SystemParams":
         """Variant with drive, classical noises and coupling switched off."""

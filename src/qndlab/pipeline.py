@@ -66,6 +66,6 @@ def analyze(ds: DataSet | QndFile, cfg: RunConfig) -> Analysis:
         estimation.power_spectrum(seg, "difference"), electronic
     )
     sql, calibration = estimation.shot_calibration(
-        p_diff, analysis_freq=cfg.get_float("estimate", "analysis_freq_hz")
+        p_diff, analysis_freq=cfg.analysis_freq_hz()
     )
     return Analysis(seg, electronic, sql, calibration)

@@ -17,6 +17,7 @@ serves the segments of such a file by positioned reads.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import mmap
 import os
 import threading
@@ -176,9 +177,11 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
     """Both ports' quadrature coefficients and the classical PSDs on the rfft grid.
 
     Returns ``(tables, psd)``.  ``tables[port][ch]``, for each channel that
-    reaches the port, holds the rows ``_segment`` reads: ``(u(omega),
+    reaches the port, holds what ``_segment`` reads: ``(u(omega),
     conj(u(-omega)))`` for a vacuum, ``(u(omega),)`` for a classical
-    channel.  ``psd[ch]`` is a classical channel's input spectrum.
+    channel.  ``psd[ch]`` is a classical channel's input spectrum.  Each
+    entry is a row over the grid, or the scalar ``SpectrumModel`` holds
+    for an entry that is the same at every frequency.
 
     ``SpectrumModel`` is evaluated on ``_CHUNK_BINS`` bins of the grid at a
     time, and each chunk is written into its slice of the rows.  Every model
@@ -195,22 +198,42 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
         omega = 2.0 * np.pi * (np.arange(lo, hi) * df)
         if lo == 0:
             omega[0] = omega[1] * 1e-6  # avoid the exact-DC corner of the model
-        model = SpectrumModel(system, omega)
-        if lo == 0:  # the first chunk's model lays out the rows
-            tables, psd = _table_rows(model.channels, m)
-        for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
-            for ch, ch_rows in tables[port].items():
-                u_pos, u_neg = model.coefficients(port, ch, phi)
-                ch_rows[0][lo:hi] = u_pos
-                if ch in VACUUM_CHANNELS:
-                    np.conjugate(u_neg, out=ch_rows[1][lo:hi])
-        for ch in CLASSICAL_CHANNELS:
-            psd[ch][lo:hi] = model.psd[ch]
-    return tables, psd
+        chunk = _chunk_tables(SpectrumModel(system, omega))
+        if lo == 0:  # the first chunk lays out the rows
+            rows = _table_rows(chunk, m)
+        for row, x in zip(_entries(rows), _entries(chunk)):
+            if np.ndim(x):
+                row[lo:hi] = x
+    return rows
 
 
-def _table_rows(channels: dict, m: int):
-    """Unfilled ``_port_tables`` rows of ``m`` bins for the ``channels`` of each port."""
+def _chunk_tables(model: SpectrumModel):
+    """``_port_tables``' ``(tables, psd)`` on the grid of ``model``."""
+    tables = {}
+    for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
+        tables[port] = {}
+        for ch in model.channels[port]:
+            u_pos, u_neg = model.coefficients(port, ch, phi)
+            vacuum = ch in VACUUM_CHANNELS
+            tables[port][ch] = (u_pos, np.conj(u_neg)) if vacuum else (u_pos,)
+    return tables, {ch: model.psd[ch] for ch in CLASSICAL_CHANNELS}
+
+
+def _entries(port_tables):
+    """Every entry of a ``(tables, psd)`` pair, in one fixed order."""
+    tables, psd = port_tables
+    for channels in tables.values():
+        for entry in channels.values():
+            yield from entry
+    yield from psd.values()
+
+
+def _table_rows(chunk, m: int):
+    """Unfilled ``_port_tables`` of ``m`` bins, laid out as ``chunk``'s.
+
+    Each array entry of ``chunk`` gets a row of ``m`` bins of its dtype; a
+    scalar entry is the same at every bin and is kept as it is.
+    """
     # All rows sit in one anonymous mapping rather than malloc blocks, so
     # freeing it returns the memory at once: from malloc, a block under
     # glibc's 32 MiB cap on the dynamic mmap threshold (27 MB at 2**17
@@ -218,17 +241,23 @@ def _table_rows(channels: dict, m: int):
     # 32 x 2**17 run's peak RSS by 46 MB.  Separate tables would leave such
     # holes between them, which synthesis threads, allocating from their
     # own arenas, cannot reuse.
-    width = dict.fromkeys(VACUUM_CHANNELS, 2) | dict.fromkeys(CLASSICAL_CHANNELS, 1)
-    rows = sum(width[ch] for chs in channels.values() for ch in chs)
-    coef_bytes = rows * m * np.dtype(complex).itemsize
-    buf = mmap.mmap(-1, coef_bytes + len(CLASSICAL_CHANNELS) * m * 8)
-    free = iter(np.frombuffer(buf, dtype=complex, count=rows * m).reshape(rows, m))
-    tables = {
-        port: {ch: tuple(next(free) for _ in range(width[ch])) for ch in chs}
-        for port, chs in channels.items()
-    }
-    psd_rows = np.frombuffer(buf, dtype=float, offset=coef_bytes).reshape(-1, m)
-    return tables, dict(zip(CLASSICAL_CHANNELS, psd_rows))
+    arrays = [x for x in _entries(chunk) if np.ndim(x)]
+    sizes = [m * x.itemsize for x in arrays]
+    buf = mmap.mmap(-1, sum(sizes))
+    free = (
+        np.frombuffer(buf, dtype=x.dtype, count=m, offset=offset)
+        for x, offset in zip(arrays, itertools.accumulate(sizes, initial=0))
+    )
+
+    def lay(x):
+        return next(free) if np.ndim(x) else x
+
+    tables, psd = chunk
+    return (
+        {port: {ch: tuple(map(lay, xs)) for ch, xs in chs.items()}
+         for port, chs in tables.items()},
+        {ch: lay(x) for ch, x in psd.items()},
+    )
 
 
 def _draw(rng, m, out=None):
@@ -242,15 +271,18 @@ def _draw(rng, m, out=None):
     return z
 
 
-def _segment(cfg, tables, psd, rng):
+def _segment(cfg, tables, psd, rng, out=None):
     """One segment of (sum, difference, meter, zeta-part-of-meter).
 
     The zeta part feeds only the quadratic nonlinearity; it is None when
-    ``cfg.nonlinearity_lambda`` is 0.  The spectra are built in place, in
-    two scratch rows and two reused draw rows, and each is freed after its
-    inverse FFT.  Every product and sum is the one the plain expression in
-    the comments computes, with the same operands in the same order, so the
-    samples are bit for bit those of that expression.
+    ``cfg.nonlinearity_lambda`` is 0.  ``out``, if given, holds the sum,
+    difference and meter rows the first three are transformed into.  A
+    table or PSD entry is a row or a scalar, and is multiplied as it is.
+    The spectra are built in place, in two scratch rows and two reused
+    draw rows, and each is freed after its inverse FFT.  Every product and
+    sum is the one the plain expression in the comments computes, with the
+    same operands in the same order, so the samples are bit for bit those
+    of that expression.
     """
     length = cfg.segment_length
     m = length // 2 + 1
@@ -288,26 +320,27 @@ def _segment(cfg, tables, psd, rng):
         else:
             f_m += np.multiply(tables["meter"][ch][0], z, out=t1)
     del g1, z, t1
-    x_sum = _irfft(f_s, length)
+    out_sum, out_diff, out_m = (None, None, None) if out is None else out
+    x_sum = _irfft(f_s, length, out_sum)
     del f_s
-    y_m = _irfft(f_m, length)
+    y_m = _irfft(f_m, length, out_m)
     del f_m
     z_m = None if f_zm is None else _irfft(f_zm, length)
     del f_zm
     # difference port: independent vacuum at the detected power, root * draw
     f_d = _draw(rng, m)
     np.multiply(root, f_d, out=f_d)
-    return x_sum, _irfft(f_d, length), y_m, z_m
+    return x_sum, _irfft(f_d, length, out_diff), y_m, z_m
 
 
-def _irfft(f, length):
-    """The real series of half spectrum ``f``.
+def _irfft(f, length, out=None):
+    """The real series of half spectrum ``f``, into ``out`` if given.
 
     Zeroes ``f``'s DC bin and makes its Nyquist bin real first.
     """
     f[0] = 0.0
     f[-1] = f[-1].real
-    return np.fft.irfft(f, n=length)
+    return np.fft.irfft(f, n=length, out=out)
 
 
 def _add_spikes(x, cfg, rng):
@@ -327,15 +360,16 @@ def _add_spikes(x, cfg, rng):
     return n_events
 
 
-def _piece(cfg, tables, psd, seq):
+def _piece(cfg, tables, psd, seq, out=None):
     """One piece's (sum, difference, meter), drawn from its own substream.
 
-    The time-domain steps run in place and share one noise row; as in
-    ``_segment``, each keeps the operands and order of the expression in
-    its comment.
+    The series are transformed into the three rows of ``out`` if given,
+    and into new arrays otherwise.  The time-domain steps run in place and
+    share one noise row; as in ``_segment``, each keeps the operands and
+    order of the expression in its comment.
     """
     rng = np.random.default_rng(seq)
-    x_sum, x_diff, y_m, z_m = _segment(cfg, tables, psd, rng)
+    x_sum, x_diff, y_m, z_m = _segment(cfg, tables, psd, rng, out)
     if cfg.nonlinearity_lambda != 0.0:
         # x_sum += lambda * (z_m**2 - mean(z_m**2))
         np.square(z_m, out=z_m)
@@ -381,15 +415,17 @@ def _on_pool(task, n: int) -> None:
         list(pool.map(task, range(n)))
 
 
-def _synthesize_into(cfg: SynthConfig, port_tables, put) -> None:
+def _synthesize_into(cfg: SynthConfig, port_tables, put, chans=None) -> None:
     """Draw every piece on the pool and hand its samples to ``put``.
 
     ``port_tables`` is what ``_port_tables`` returns for ``cfg``.
     ``put(name, start, x, add)`` stores ``x`` as the samples of channel
     ``name`` from ``start`` on or, with ``add``, adds ``x`` to the samples
-    stored there.  It runs on the worker that drew the piece.  Each piece
-    draws from its own substream spawned from the seed, so the samples do
-    not depend on the number of CPUs.
+    stored there.  It runs on the worker that drew the piece.  Given
+    ``chans``, the in-memory channels by name, a piece that is not
+    cross-faded is drawn straight into its rows there, and ``put`` is not
+    called for it.  Each piece draws from its own substream spawned from
+    the seed, so the samples do not depend on the number of CPUs.
     """
     tables, psd = port_tables
     length = cfg.segment_length
@@ -403,6 +439,10 @@ def _synthesize_into(cfg: SynthConfig, port_tables, put) -> None:
 
     def place(i, add=False):
         lo = i * half - half if cfg.continuous else i * length
+        if chans is not None and not cfg.continuous:
+            rows = [chans[name][lo : lo + length] for name in CHANNELS]
+            _piece(cfg, tables, psd, seqs[i], out=rows)
+            return
         a = max(lo, 0)
         b = min(lo + length, n_total)
         for name, x in zip(CHANNELS, _piece(cfg, tables, psd, seqs[i])):
@@ -426,7 +466,8 @@ def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
     """Generate a dataset whose second-order statistics match the model.
 
     Deterministic given (system, cfg), whatever the number of CPUs: the
-    worker that draws a piece writes it into its rows of the channels.
+    worker that draws a piece transforms it into its rows of the channels
+    or, in continuous mode, adds it there.
     """
     port_tables = _port_tables(system, cfg)
     n_total = cfg.n_segments * cfg.segment_length
@@ -439,7 +480,7 @@ def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
         else:
             row[:] = x
 
-    _synthesize_into(cfg, port_tables, put)
+    _synthesize_into(cfg, port_tables, put, chans)
     return DataSet(**chans, config=cfg, config_hash=system.config_hash())
 
 

@@ -172,7 +172,10 @@ class SpectrumModel:
     vacuum form 0.5*(|u(omega)|^2 + |u(-omega)|^2) is its |u(omega)|^2.
     Each channel's contribution is weighted by ``psd[c]``, its symmetrized
     input spectrum: 1 for a vacuum.  ``channels[port]`` lists the channels
-    that reach the port, and every sum runs over those.
+    that reach the port, and every sum runs over those.  An entry that is
+    the same at every frequency (a port's own detection vacuum, the eps
+    PSD, a flat xi PSD) is held as a scalar, and ``coefficients`` returns
+    such a channel's as scalars; every spectrum broadcasts it over the grid.
     """
 
     def __init__(self, system: SystemParams, omega):
@@ -190,7 +193,7 @@ class SpectrumModel:
         }
         self.channels = {port: tuple(table) for port, table in self._table.items()}
         self.psd = dict.fromkeys(VACUUM_CHANNELS, 1.0)
-        self.psd["eps"] = np.full_like(self.omega, system.drive.epsilon_psd())
+        self.psd["eps"] = system.drive.epsilon_psd()
         self.psd["zeta"] = system.zeta.psd(self.omega)
         self.psd["xi"] = system.xi_psd(self.omega)
         self.phi_r, self.phi_m, self.phi_s_lock = quadrature_phases(
@@ -204,14 +207,23 @@ class SpectrumModel:
         return self.phi_s_lock
 
     def coefficients(self, port, channel, phi):
-        """Quadrature coefficients u(omega) and u(-omega) of one channel."""
+        """Quadrature coefficients u(omega) and u(-omega) of one channel.
+
+        Scalars for a channel whose coefficients are the same at every
+        frequency, arrays over the grid otherwise.
+        """
         a_pos, b_pos, a_neg, b_neg = self._table[port][channel]
         e_m, e_p = np.exp(-1j * phi), np.exp(1j * phi)
         return a_pos * e_m + np.conj(b_neg) * e_p, a_neg * e_m + np.conj(b_pos) * e_p
 
     def channel_contribution(self, port, channel, phi):
         """Contribution of one input channel to the port quadrature spectrum."""
-        u_pos, u_neg = self.coefficients(port, channel, phi)
+        # a scalar coefficient is broadcast first, so every channel's
+        # moduli are taken on the grid alike
+        u_pos, u_neg = (
+            np.full(self.omega.shape, u) if np.ndim(u) == 0 else u
+            for u in self.coefficients(port, channel, phi)
+        )
         return 0.5 * (np.abs(u_pos) ** 2 + np.abs(u_neg) ** 2) * self.psd[channel]
 
     def quadrature_spectrum(self, port, phi, sources=ALL_SOURCES):

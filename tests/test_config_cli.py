@@ -84,6 +84,15 @@ class TestRunConfig:
         cfg = load_config(text="[synth]\nn_segments = 7\n")
         assert cfg.synth_config().n_segments == 7
 
+    def test_analysis_freq_inside_the_estimate_band(self):
+        # the band edges are inside; the CLI's rejections are in BAD_INPUTS
+        for text in ("100e3", "220e3"):
+            cfg = load_config(text=f"[estimate]\nanalysis_freq_hz = {text}\n")
+            assert cfg.analysis_freq_hz() == float(text)
+        cfg = load_config(text="[estimate]\nanalysis_freq_hz = 220001\n")
+        with pytest.raises(ConfigError, match="outside the estimate band"):
+            cfg.analysis_freq_hz()
+
     def test_frequency_thermal_force_scaling(self):
         flat = load_config(text="").system()
         system = load_config(
@@ -291,8 +300,14 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+def _estimate_key(key, value):
+    """SMALL_CFG with one more ``[estimate]`` key."""
+    return SMALL_CFG.replace("[estimate]\n", f"[estimate]\n{key} = {value}\n")
+
+
 # Inputs that ended in a traceback (exit 1), never ended, were silently
-# ignored or exited with another family's code, each now rejected with exit 2
+# ignored, ran to a meaningless result or exited with another family's code,
+# each now rejected with exit 2
 # before any output is written: (command, run config, extra argv, error text).
 _SYNTH = "[synth]\nsegment_length = 4096\n"
 BAD_INPUTS = [
@@ -321,6 +336,17 @@ BAD_INPUTS = [
          "n_multistarts")
         for n in ("0", "-3", "99999999999999999999")
     ),
+    # the SQL is read off the calibration line at this frequency: outside
+    # the estimate band it is an extrapolation
+    *(
+        (command, _estimate_key("analysis_freq_hz", freq), [], "analysis_freq_hz")
+        for freq in ("1e30", "-1", "0")
+        for command in ("estimate", "fit")
+    ),
+    *(
+        ("estimate", _estimate_key("confidence", level), [], "confidence")
+        for level in ("0", "-0.5", "1")
+    ),
 ]
 BAD_INPUT_IDS = [
     "spike-rate-1e30", "spike-rate-1e12", "leak-1e30", "n-segments-1e20",
@@ -332,6 +358,12 @@ BAD_INPUT_IDS = [
     ),
     "band-flag-121000", "band-key-1e20", "band-key-1e30", "inverted-band",
     "multistarts-0", "multistarts-neg3", "multistarts-1e20",
+    *(
+        f"analysis-freq-{freq}-{command}"
+        for freq in ("1e30", "neg1", "0")
+        for command in ("estimate", "fit")
+    ),
+    "confidence-0", "confidence-neg0.5", "confidence-1",
 ]
 
 
@@ -519,20 +551,25 @@ class TestCliErrorFamilies:
         assert match in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("text, argv, match", [
-        (SMALL_CFG, ["--band-hz", "121000"], "more than the"),
-        (SMALL_CFG.replace("= 600.0", "= 1e20"), [], "more than the"),
-        (SMALL_CFG.replace("= 120e3\nband_hi_hz = 220e3",
-                           "= 220e3\nband_hi_hz = 100e3"), [], "low edge"),
-    ], ids=["band-flag", "band-key", "inverted-band"])
+    @pytest.mark.parametrize("command, text, argv, match", [
+        ("estimate", SMALL_CFG, ["--band-hz", "121000"], "more than the"),
+        ("estimate", SMALL_CFG.replace("= 600.0", "= 1e20"), [], "more than the"),
+        ("estimate", SMALL_CFG.replace("= 120e3\nband_hi_hz = 220e3",
+                                       "= 220e3\nband_hi_hz = 100e3"), [], "low edge"),
+        ("estimate", _estimate_key("analysis_freq_hz", "1e30"), [], "analysis_freq_hz"),
+        ("fit", _estimate_key("analysis_freq_hz", "-1"), [], "analysis_freq_hz"),
+        ("estimate", _estimate_key("confidence", "1"), [], "confidence"),
+    ], ids=["band-flag", "band-key", "inverted-band", "analysis-freq-estimate",
+            "analysis-freq-fit", "confidence"])
     def test_band_rejected_before_reading(self, small_qnd, tmp_path, capsys,
-                                          monkeypatch, text, argv, match):
-        # the header's grid settles these, so no payload sample is read
+                                          monkeypatch, command, text, argv, match):
+        # the header's grid and the config settle these, so no payload
+        # sample is read
         monkeypatch.setattr(synth.QndFile, "segment", _no_payload_read)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"
-        assert cli.main(["estimate", str(small_qnd), "--config", str(cfg),
+        assert cli.main([command, str(small_qnd), "--config", str(cfg),
                          "--out", str(out), *argv]) == 2
         assert match in capsys.readouterr().err
 

@@ -490,6 +490,14 @@ class TestBandAverage:
             assert np.array_equal(out.belt_hi, out.values + z * out.stderr)
             assert np.array_equal(out.belt_lo, out.values - z * out.stderr)
 
+    @pytest.mark.parametrize("confidence", [0.0, -0.5, 1.0, 1.5])
+    def test_confidence_outside_unit_interval(self, confidence):
+        # 0 would give a belt of zero width and -0.5 an inverted one
+        f = np.arange(0.0, 1e4, 100.0)
+        est = q.SpectrumEstimate(f, np.ones(len(f)), 0.2 * np.ones(len(f)), 16)
+        with pytest.raises(ConfigError, match="confidence"):
+            q.band_average(est, 100.0, confidence=confidence)
+
     def test_belt_survives_a_copy(self, tmp_path):
         # the belt is computed from values, stderr and its declared z, so a
         # rescaled copy carries a belt that matches its own values

@@ -188,15 +188,18 @@ def _serial_synthesis(system, cfg):
     return chans
 
 
-# The frozen streams: (vacuum_only, cfg, SHA-256 of the .qnd file).
+# The frozen streams: (vacuum_only, [system] keys that differ from the
+# reference, cfg, SHA-256 of the .qnd file).
 FROZEN = [
     (
         False,
+        {},
         q.SynthConfig(segment_length=2**12, n_segments=5, seed=17),
         "14c1cc996f561566c6e546757cf5c3df751df386458696f9caad1a197cd0d1ce",
     ),
     (
         False,
+        {},
         q.SynthConfig(
             segment_length=2**12, n_segments=6, seed=19, continuous=True,
             spike_rate=1000.0, nonlinearity_lambda=2e-5,
@@ -205,14 +208,25 @@ FROZEN = [
     ),
     (
         True,
+        {},
         q.SynthConfig(
             segment_length=2**12, n_segments=4, seed=3,
             nonlinearity_lambda=1e-5,
         ),
         "c4e086cc9a97557a66d334b7a5a48b73731a99625009debe93199254dfd23b63",
     ),
+    (
+        # the xi PSD varies with frequency, so it is a row of the tables
+        False,
+        {"thermal_force_scaling": "frequency"},
+        q.SynthConfig(segment_length=2**12, n_segments=3, seed=31),
+        "ade4658766b33ff1eaba4abde5bc40f31f7dc266cc0bc68ed1aca494686ad119",
+    ),
 ]
-FROZEN_IDS = ["plain-5", "continuous-spikes-nonlinear", "vacuum-only-nonlinear"]
+FROZEN_IDS = [
+    "plain-5", "continuous-spikes-nonlinear", "vacuum-only-nonlinear",
+    "frequency-thermal-force",
+]
 
 
 class TestParallelSynthesis:
@@ -284,11 +298,11 @@ class TestParallelSynthesis:
                                          tmp_path):
         piece = synth._piece
 
-        def failing(cfg, tables, psd, seq):
+        def failing(cfg, tables, psd, seq, out=None):
             # piece 3 runs in the odd pass of a continuous stream
             if seq.spawn_key == (3,):
                 raise RuntimeError("piece 3 failed")
-            return piece(cfg, tables, psd, seq)
+            return piece(cfg, tables, psd, seq, out)
 
         monkeypatch.setattr(synth, "_piece", failing)
         cfg = q.SynthConfig(
@@ -303,14 +317,15 @@ class TestParallelSynthesis:
 
 
     @pytest.mark.parametrize(
-        "vacuum_only, cfg, digest, streamed",
+        "vacuum_only, system_keys, cfg, digest, streamed",
         [(*case, streamed) for streamed in (False, True) for case in FROZEN],
         ids=[*FROZEN_IDS, *(f"{name}-cli" for name in FROZEN_IDS)],
     )
-    def test_stream_is_frozen(self, system, vacuum_only, cfg, digest, streamed,
-                              tmp_path):
+    def test_stream_is_frozen(self, system, vacuum_only, system_keys, cfg, digest,
+                              streamed, tmp_path):
         # the frozen seeds of the acceptance tests draw this exact stream
         path = tmp_path / "dataset.qnd"
+        system = dataclasses.replace(system, **system_keys)
         if streamed:
             # qndlab synth with a config that spells out every field of cfg
             key = {"sample_rate": "sample_rate_hz"}
@@ -318,8 +333,10 @@ class TestParallelSynthesis:
             run.write_text("[synth]\n" + "".join(
                 f"{key.get(f.name, f.name)} = {getattr(cfg, f.name)!r}\n"
                 for f in dataclasses.fields(cfg) if f.name != "seed"
-            ))
-            assert load_config(path=run).synth_config(seed=cfg.seed) == cfg
+            ) + "[system]\n" + "".join(f"{k} = {v}\n" for k, v in system_keys.items()))
+            loaded = load_config(path=run)
+            assert loaded.system() == system
+            assert loaded.synth_config(seed=cfg.seed) == cfg
             argv = ["synth", "--config", str(run), "--out", str(tmp_path),
                     "--seed", str(cfg.seed)]
             assert cli.main(argv + ["--vacuum-only"] * vacuum_only) == 0
@@ -363,38 +380,58 @@ class TestPortTables:
     def test_chunks_equal_the_whole_grid(self, system, length):
         cfg = q.SynthConfig(segment_length=length)
         assert (length // 2 + 1) % synth._CHUNK_BINS != 0
-        tables, psd = synth._port_tables(system, cfg)
         omega = 2.0 * np.pi * np.fft.rfftfreq(length, 1.0 / cfg.sample_rate)
         omega[0] = omega[1] * 1e-6
-        model = theory.SpectrumModel(system, omega)
-        for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
-            assert tuple(tables[port]) == model.channels[port], port
-            for ch in model.channels[port]:
-                u_pos, u_neg = model.coefficients(port, ch, phi)
-                if ch in om_core.VACUUM_CHANNELS:
-                    assert np.array_equal(tables[port][ch][0], u_pos), (port, ch)
-                    assert np.array_equal(tables[port][ch][1], np.conj(u_neg)), (
-                        port, ch,
-                    )
-                else:
-                    (row,) = tables[port][ch]
-                    assert np.array_equal(row, u_pos), (port, ch)
-        assert sorted(psd) == sorted(om_core.CLASSICAL_CHANNELS)
-        for ch, row in psd.items():
-            assert np.array_equal(row, model.psd[ch]), ch
+
+        def same(stored, value):
+            # a scalar of the model is stored as a scalar, a row as a row
+            grid = omega.shape
+            return np.ndim(stored) == np.ndim(value) and np.array_equal(
+                np.broadcast_to(stored, grid), np.broadcast_to(value, grid)
+            )
+
+        # under "frequency" scaling the xi PSD is a row, not a scalar
+        for scaling in ("flat", "frequency"):
+            sys_s = dataclasses.replace(system, thermal_force_scaling=scaling)
+            tables, psd = synth._port_tables(sys_s, cfg)
+            model = theory.SpectrumModel(sys_s, omega)
+            for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
+                assert tuple(tables[port]) == model.channels[port], port
+                for ch in model.channels[port]:
+                    u_pos, u_neg = model.coefficients(port, ch, phi)
+                    if ch in om_core.VACUUM_CHANNELS:
+                        assert same(tables[port][ch][0], u_pos), (port, ch)
+                        assert same(tables[port][ch][1], np.conj(u_neg)), (port, ch)
+                    else:
+                        (row,) = tables[port][ch]
+                        assert same(row, u_pos), (port, ch)
+            assert sorted(psd) == sorted(om_core.CLASSICAL_CHANNELS)
+            for ch, row in psd.items():
+                assert same(row, model.psd[ch]), (scaling, ch)
 
     def test_mapping_holds_only_the_channels_each_port_sees(self, system):
-        # each port sees four vacua (two rows each) and three classical
-        # inputs: 2 x 11 complex rows, then the 3 classical PSD rows
+        # each port sees four vacua (two entries each) and three classical
+        # inputs: 2 x 11 complex entries, of which each port's own detection
+        # vacuum's two are the same at every bin; of the 3 classical PSDs,
+        # eps is, and so is xi under flat scaling.  Only the rest are rows.
         length = 2**12
-        tables, psd = synth._port_tables(system, q.SynthConfig(segment_length=length))
         m = length // 2 + 1
-        base = tables["signal"]["a1"][0]
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert len(base) == (2 * 11 * 16 + 3 * 8) * m
-        assert sum(len(rows) for t in tables.values() for rows in t.values()) == 22
-        assert len(psd) == 3
+        for scaling, psd_rows in (("flat", 1), ("frequency", 2)):
+            sys_s = dataclasses.replace(system, thermal_force_scaling=scaling)
+            cfg = q.SynthConfig(segment_length=length)
+            tables, psd = synth._port_tables(sys_s, cfg)
+            base = tables["signal"]["a1"][0]
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert len(base) == (18 * 16 + psd_rows * 8) * m, scaling
+            scalars = {
+                (port, ch) for port, t in tables.items() for ch, entries in t.items()
+                for x in entries if np.ndim(x) == 0
+            }
+            assert scalars == {("meter", "a3"), ("signal", "a4")}, scaling
+            assert sum(len(rows) for t in tables.values() for rows in t.values()) == 22
+            assert sum(np.ndim(x) for x in psd.values()) == psd_rows, scaling
+            assert np.ndim(psd["zeta"]) == 1 and np.ndim(psd["eps"]) == 0
 
     def test_traced_peak_does_not_grow_with_the_segment(self, system):
         # the rows live in an untraced anonymous mapping; what malloc holds
