@@ -7,15 +7,15 @@ Exit codes, carried by the error families of ``errors``:
   0  success
   2  ConfigError: bad config file, key, flag or [synth] value, a run config
      that did not make the dataset, ``fit`` on a vacuum-only dataset, an
-     inverted estimate band, a band-average width wider than that band,
-     an analysis frequency outside it, a belt confidence outside (0, 1),
-     ``n_multistarts`` outside 1 to 1000; the checks on the dataset's
-     header run before any payload sample is read
+     inverted estimate band, an analysis frequency outside it, an unknown
+     window, a band-average width or belt confidence ``band_average``
+     rejects, a ``[fit]`` setting ``FitProblem`` rejects
   3  FormatError or OSError: missing or malformed dataset file
   4  StatisticsError: too few segments, singular systems, degenerate
      targets, an estimate band off the grid
   5  ModelError: non-convergence, divergent susceptibility, domain
-Any other exception propagates with its traceback.  SIGTERM exits 143
+``estimate`` and ``fit`` run every check that needs only the config and
+the dataset header before they read any payload sample.  Any other exception propagates with its traceback.  SIGTERM exits 143
 after the same clean-up an exception runs, so ``synth`` leaves no
 temporary file behind.
 """
@@ -35,7 +35,7 @@ import numpy as np
 from . import estimation, fitting, synth, theory
 from .config import RunConfig, default_config_text, load_config
 from .errors import ConfigError, QndError
-from .pipeline import Analysis, analyze
+from .pipeline import analyze
 
 
 def _write_csv(path, header, columns, config_hash=None):
@@ -52,22 +52,22 @@ def _system(cfg: RunConfig, vacuum_only: bool):
     return system.vacuum_only() if vacuum_only else system
 
 
-def _analyze_dataset(cfg: RunConfig, path, vacuum_only_ok: bool,
-                     band_width_hz=None, confidence=None) -> Analysis:
-    """Analyze the dataset file at ``path``, rejecting a run config that did not make it.
+@contextlib.contextmanager
+def _open_dataset(cfg: RunConfig, path, vacuum_only_ok: bool):
+    """Open the dataset at ``path``; yield it and its estimate-band grid.
 
-    Everything that needs only the header is checked before any payload
-    sample is read: first the band, ``band_width_hz`` and the belt
-    ``confidence``, on the header's grid, and the analysis frequency inside
-    the band; then the run config's system, or its vacuum-only variant if
+    Checks, reading no payload sample: the estimate band on the header's
+    grid, its calibration bins, the analysis frequency and the window; then
+    the run config's system, or its vacuum-only variant if
     ``vacuum_only_ok``, must hash to the dataset's ``config_hash``, and its
-    ``[synth]`` settings must equal the header's; the seed is not compared.
-    The file is then read as the analysis goes, a segment at a time, so its
-    selection pass is what finds a non-finite sample (exit 3).
+    ``[synth]`` settings must equal the header's (the seed is not
+    compared).  The command then checks its own settings on the grid.
     """
     with synth.QndFile(path) as ds:
-        estimation.band_grid(ds.config, cfg.estimate_band(), band_width_hz, confidence)
+        freqs, lo, hi = estimation.band_grid(ds.config, cfg.estimate_band())
+        estimation.calibration_bins(freqs[lo:hi])
         cfg.analysis_freq_hz()
+        estimation.taper(cfg.get("estimate", "window"), ds.config.segment_length)
         system = cfg.system()
         driven = system.config_hash()
         if ds.config_hash not in (driven, system.vacuum_only().config_hash()):
@@ -88,7 +88,7 @@ def _analyze_dataset(cfg: RunConfig, path, vacuum_only_ok: bool,
                     f"{path}: synthesized with {f.name} = {have!r}, "
                     f"but the run config gives {want!r}"
                 )
-        return analyze(ds, cfg)
+        yield ds, freqs[lo:hi]
 
 
 def cmd_theory(cfg: RunConfig, args) -> int:
@@ -181,14 +181,11 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"--channels must be 'meter' or 'meter,meter_squared', got {args.channels!r}"
         )
-    width = (
-        args.band_hz
-        if args.band_hz is not None
-        else cfg.get_float("estimate", "band_average_hz")
-    )
+    width = cfg.get_float("estimate", "band_average_hz")
     confidence = cfg.get_float("estimate", "confidence")
-    analysis = _analyze_dataset(cfg, args.dataset, vacuum_only_ok=True,
-                                band_width_hz=width, confidence=confidence)
+    with _open_dataset(cfg, args.dataset, vacuum_only_ok=True) as (ds, freqs):
+        estimation.banding(width, freqs, confidence)
+        analysis = analyze(ds, cfg)
     seg = analysis.seg
     res = residual(seg)
     res_n = analysis.normalized(res)
@@ -231,19 +228,23 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
 
 
 def cmd_fit(cfg: RunConfig, args) -> int:
-    p_sum = _analyze_dataset(cfg, args.dataset, vacuum_only_ok=False).spectrum_sum
-    system = cfg.system()
-    problem = fitting.FitProblem(
-        system=system,
-        frequencies=p_sum.frequencies,
-        target=p_sum.values,
-        stderr=p_sum.stderr,
-        free_params=cfg.fit_bounds(system.cavity.kappa),
-        band=(cfg.get_float("fit", "band_lo_hz"), cfg.get_float("fit", "band_hi_hz")),
-        n_multistarts=cfg.get_int("fit", "n_multistarts"),
-        seed=cfg.seed(args.seed),
+    with _open_dataset(cfg, args.dataset, vacuum_only_ok=False) as (ds, freqs):
+        system = cfg.system()
+        # checked on the header's grid with a stand-in target, then refilled
+        problem = fitting.FitProblem(
+            system=system,
+            frequencies=freqs,
+            target=np.ones_like(freqs),
+            stderr=np.ones_like(freqs),
+            free_params=cfg.fit_bounds(system.cavity.kappa),
+            band=(cfg.get_float("fit", "band_lo_hz"), cfg.get_float("fit", "band_hi_hz")),
+            n_multistarts=cfg.get_int("fit", "n_multistarts"),
+            seed=cfg.seed(args.seed),
+        )
+        p_sum = analyze(ds, cfg).spectrum_sum
+    result = fitting.fit(
+        dataclasses.replace(problem, target=p_sum.values, stderr=p_sum.stderr)
     )
-    result = fitting.fit(problem)
     text = fitting.fit_report_text(result)
     with open(os.path.join(args.out, "fit_report.txt"), "w") as fh:
         fh.write(text)
@@ -285,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("dataset", help="dataset file to analyze")
     p_est.add_argument("--channels", default="meter",
                        help="predictor channels: meter or meter,meter_squared")
-    p_est.add_argument("--band-hz", type=float, default=None,
-                       help="banding width override in Hz")
     p_fit = sub.add_parser("fit", parents=[common, seed])
     p_fit.add_argument("dataset", help="dataset file to fit")
     return parser

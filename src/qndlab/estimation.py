@@ -174,14 +174,8 @@ def transform(
     values equal those of one batched ``rfft`` over the kept rows, bit for
     bit.
     """
-    if window not in WINDOWS:
-        raise ConfigError(f"window must be one of {WINDOWS}")
     length = seg.segment_length
-    if window == "hann":
-        w = np.hanning(length)
-        w = w / np.sqrt(np.mean(w**2))  # keep SQL = 1 after tapering
-    else:
-        w = None
+    w = taper(window, length)
     freqs, lo, hi = band_grid(seg.source.config, band)
     rows = np.flatnonzero(seg.kept_mask)
     # the memory order of a batched rfft, column-major once masked to a
@@ -224,17 +218,25 @@ def transform(
     )
 
 
-def band_grid(config: SynthConfig, band: tuple | None, band_width_hz=None,
-              confidence=None):
+def taper(window: str, length: int) -> np.ndarray | None:
+    """The ``window`` taper of ``length`` samples at unit mean square, or None.
+
+    None is the rectangular window; a window not in ``WINDOWS`` raises.
+    """
+    if window not in WINDOWS:
+        raise ConfigError(f"window must be one of {WINDOWS}, got {window!r}")
+    if window == "rectangular":
+        return None
+    w = np.hanning(length)
+    return w / np.sqrt(np.mean(w**2))  # keep SQL = 1 after tapering
+
+
+def band_grid(config: SynthConfig, band: tuple | None):
     """The rfft grid of a ``config`` dataset, and its slice ``lo:hi`` inside ``band``.
 
-    Raises, as ``transform`` and ``band_average`` would, for an inverted or
-    off-grid ``band``, for a non-finite ``band_width_hz`` or one wider
-    than the band, and for a belt ``confidence`` outside (0, 1), before any
-    sample is read.
+    Raises for an inverted ``band`` or one off the grid, before any sample
+    is read.
     """
-    if confidence is not None:
-        _belt_z(confidence)
     freqs = np.fft.rfftfreq(config.segment_length, 1.0 / config.sample_rate)
     if band is None:
         return freqs, 0, len(freqs)
@@ -244,12 +246,7 @@ def band_grid(config: SynthConfig, band: tuple | None, band_width_hz=None,
     if not len(inside):
         raise StatisticsError(f"band {band} outside the grid")
     # the grid ascends, so the band is one contiguous slice
-    lo, hi = inside[0], inside[-1] + 1
-    # one bin has no spacing to measure a width by; the SQL calibration
-    # rejects so narrow a band (exit 4)
-    if band_width_hz is not None and hi - lo > 1:
-        _band_bins(band_width_hz, freqs[lo:hi])
-    return freqs, lo, hi
+    return freqs, inside[0], inside[-1] + 1
 
 
 def _need_dfts(seg: SegmentSet):
@@ -405,6 +402,16 @@ def msc_estimate(
 SHOT_BANDS = ((154e3, 163e3), (176e3, 180e3))
 
 
+def calibration_bins(frequencies: np.ndarray, bands: tuple = SHOT_BANDS):
+    """Mask of the ``frequencies`` inside the calibration ``bands``, at least two."""
+    sel = np.zeros(len(frequencies), dtype=bool)
+    for lo, hi in bands:
+        sel |= (frequencies >= lo) & (frequencies <= hi)
+    if sel.sum() < 2:
+        raise StatisticsError(f"calibration bands {bands} not on the grid")
+    return sel
+
+
 def shot_calibration(
     est: SpectrumEstimate,
     analysis_freq: float = 170e3,
@@ -418,11 +425,7 @@ def shot_calibration(
     report dict).
     """
     f = est.frequencies
-    sel = np.zeros(len(f), dtype=bool)
-    for lo, hi in bands:
-        sel |= (f >= lo) & (f <= hi)
-    if sel.sum() < 2:
-        raise StatisticsError(f"calibration bands {bands} not on the grid")
+    sel = calibration_bins(f, bands)
     coeffs = np.polyfit(f[sel], est.values[sel], 1)
     sql = float(np.polyval(coeffs, analysis_freq))
     scatter = float(np.std(est.values[sel] - np.polyval(coeffs, f[sel])))
@@ -540,20 +543,18 @@ def _normal_quantile(p: float) -> float:
     return x if upper else -x
 
 
-def _belt_z(confidence: float) -> float:
-    """The normal quantile of a two-sided belt holding ``confidence``, in (0, 1)."""
+def banding(
+    band_width_hz: float, frequencies: np.ndarray, confidence: float
+) -> tuple[int, float, float]:
+    """(bins, spacing, belt quantile) of a band average on ``frequencies``.
+
+    Every rule of ``band_average``: a finite width spanning at least one bin
+    and at most all, at least two bins, and a ``confidence`` in (0, 1).
+    """
     if not 0.0 < confidence < 1.0:
         raise ConfigError(
             f"confidence must lie strictly between 0 and 1, got {confidence!r}"
         )
-    return _normal_quantile(0.5 + confidence / 2.0)
-
-
-def _band_bins(band_width_hz: float, frequencies: np.ndarray) -> tuple[int, float]:
-    """Bins of a finite ``band_width_hz`` on ``frequencies``, at most all, and df.
-
-    Fewer than two bins have no spacing to measure a width by.
-    """
     if not math.isfinite(band_width_hz):
         raise ConfigError(f"band width must be finite, got {band_width_hz!r} Hz")
     if len(frequencies) < 2:
@@ -561,13 +562,15 @@ def _band_bins(band_width_hz: float, frequencies: np.ndarray) -> tuple[int, floa
             f"banding needs at least two bins, got {len(frequencies)}"
         )
     df = float(np.mean(np.diff(frequencies)))
-    n_bins = max(int(round(band_width_hz / df)), 1)
+    if band_width_hz < df:
+        raise ConfigError(f"band narrower than the grid spacing of {df:g} Hz")
+    n_bins = int(round(band_width_hz / df))
     if n_bins > len(frequencies):
         raise ConfigError(
             f"band of {band_width_hz:g} Hz spans {n_bins} bins, more than the "
             f"{len(frequencies)} of the spectrum"
         )
-    return n_bins, df
+    return n_bins, df, _normal_quantile(0.5 + confidence / 2.0)
 
 
 def band_average(
@@ -576,13 +579,10 @@ def band_average(
     """Flat moving average with a normal-approximation confidence belt.
 
     The result carries the belt's normal quantile ``belt_z``, so its belt and
-    any copy's is ``values -+ belt_z * stderr``.  The band must span at
-    least one bin and at most the whole spectrum, and ``confidence`` must
-    lie in (0, 1).
+    any copy's is ``values -+ belt_z * stderr``.  ``banding`` holds the
+    rules on ``band_width_hz`` and ``confidence``.
     """
-    n_bins, df = _band_bins(band_width_hz, est.frequencies)
-    if band_width_hz < df:
-        raise ConfigError("band narrower than the grid spacing")
+    n_bins, df, z = banding(band_width_hz, est.frequencies, confidence)
     kernel = np.ones(n_bins) / n_bins
     # edge bins average fewer neighbours; divide by the kernel overlap so
     # they stay unbiased instead of being pulled toward zero
@@ -591,8 +591,7 @@ def band_average(
     # independent-bin averaging shrinks the error by sqrt(bins)
     stderr = np.sqrt(np.convolve(est.stderr**2, kernel**2, mode="same")) / overlap
     return replace(
-        est, values=values, stderr=stderr, band_width_hz=n_bins * df,
-        belt_z=_belt_z(confidence),
+        est, values=values, stderr=stderr, band_width_hz=n_bins * df, belt_z=z
     )
 
 

@@ -64,7 +64,8 @@ class FitProblem:
     in the noise model's background units.  The target should be
     normalized to SQL with electronic noise removed.  Weights follow from
     the relative errors: w = (value/stderr)^2, the inverse variance of
-    log S.  ``n_multistarts`` lies in [1, ``_MAX_MULTISTARTS``] and
+    log S; the fit ``band`` must hold at least one target point.
+    ``n_multistarts`` lies in [1, ``_MAX_MULTISTARTS``] and
     ``max_evals`` caps the model builds of each start.
     """
 
@@ -97,8 +98,16 @@ class FitProblem:
             self.stderr
         ):
             raise ConfigError("target arrays must share one grid")
+        if not self.in_band.any():
+            raise ConfigError(f"fit band {self.band} excludes every target point")
         if np.all(np.asarray(self.stderr) == 0):
             raise StatisticsError("all stderr are zero; cannot weight the fit")
+
+    @property
+    def in_band(self) -> np.ndarray:
+        """Which target points lie inside the fit ``band``, edges included."""
+        f = np.asarray(self.frequencies, dtype=float)
+        return (f >= self.band[0]) & (f <= self.band[1])
 
 
 @dataclass
@@ -204,20 +213,15 @@ class _Profile:
             return None
         return self.root_w * (np.log(value) - self.log_target)
 
-    def loss(self, spec, phi, b) -> float:
-        """Weighted log-spectral loss; a held parameter takes its held value."""
-        phi, b = np.clip([phi, b], *self._bounds(spec))
-        r = self._residual(spec.value_and_slopes(phi, b)[0])
-        return np.inf if r is None else float(r @ r)
-
     def solve(self, spec, phi, b):
         """Projected Levenberg-Marquardt minimization over the inner unknowns.
 
-        Starts from (phi, b) and returns (phi, b, loss, converged); the loss
-        never exceeds the starting one.  Bounds are handled by clipping the
-        step and by freezing each unknown that sits on a bound while the
-        gradient pushes it outward, which holds a parameter that is not
-        free at its value.  It stops once a step moves no unknown by more
+        Starts from (phi, b) clipped to the bounds, so a held parameter takes
+        its held value, and returns (phi, b, loss, converged, start loss);
+        the loss never exceeds the start loss.  Bounds are handled by
+        clipping the step and by freezing each unknown that sits on a bound
+        while the gradient pushes it outward, which holds a parameter that is
+        not free at its value.  It stops once a step moves no unknown by more
         than ``_INNER_XTOL`` of its bound width or lowers the loss by less
         than ``_INNER_FTOL`` of it.
         """
@@ -233,8 +237,9 @@ class _Profile:
             return phi_x, b_x, value, (d_phi, d_b), r, f
 
         phi, b, value, slopes, r, f = evaluate(x)
+        start = f
         if r is None:
-            return phi, b, f, False
+            return phi, b, f, False, start
         lam = 1e-3
         for _ in range(_INNER_MAX_ITER):
             jac = np.array(slopes) * self.scale[:, None] * (self.root_w / value)
@@ -242,7 +247,7 @@ class _Profile:
             jtj = jac @ jac.T
             fixed = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
             if fixed.all():
-                return phi, b, f, True
+                return phi, b, f, True, start
             grad[fixed] = 0.0
             jtj[fixed, :] = 0.0
             jtj[:, fixed] = 0.0
@@ -256,36 +261,33 @@ class _Profile:
                 if trial[-1] <= f:
                     break
                 if small:
-                    return phi, b, f, True
+                    return phi, b, f, True, start
                 lam *= 10.0
             f_old = f
             x = x_new
             phi, b, value, slopes, r, f = trial
             if small or f_old - f <= _INNER_FTOL * f:
-                return phi, b, f, True
+                return phi, b, f, True, start
             lam = max(lam / 10.0, 1e-12)
-        return phi, b, f, False
+        return phi, b, f, False, start
 
     def search(self, start: dict, det_bounds, shared, max_evals):
         """One start: (best point, loss at the start, converged)."""
-        # a held parameter's start is clipped to its held value
         phi0, b0 = start.get("phi_s", 0.0), start.get("zeta_background", 0.0)
         if det_bounds is None:
-            start_loss = self.loss(shared, phi0, b0)
-            phi, b, f, ok = self.solve(shared, phi0, b0)
+            phi, b, f, ok, start_loss = self.solve(shared, phi0, b0)
             return _Point(None, phi, b, f, shared), start_loss, ok
         builds0 = self.builds
         det0 = start["detuning"]
         spec0 = self.spectrum(det0)
-        start_loss = self.loss(spec0, phi0, b0)
-        phi, b, f, _ = self.solve(spec0, phi0, b0)
+        phi, b, f, _, start_loss = self.solve(spec0, phi0, b0)
         best = _Point(det0, phi, b, f, spec0)
         last = [phi, b]
 
         def profile_loss(detuning):
             nonlocal best
             spec = self.spectrum(detuning)
-            phi, b, f, _ = self.solve(spec, *last)
+            phi, b, f = self.solve(spec, *last)[:3]
             last[:] = [phi, b]
             if f < best.loss:
                 best = _Point(detuning, phi, b, f, spec)
@@ -477,11 +479,8 @@ def fit(problem: FitProblem) -> FitResult:
     those weights) but more than one sigma from it raises the degeneracy
     flag.
     """
-    f = np.asarray(problem.frequencies, dtype=float)
-    sel = (f >= problem.band[0]) & (f <= problem.band[1])
-    if not sel.any():
-        raise ConfigError(f"fit band {problem.band} excludes every target point")
-    f = f[sel]
+    sel = problem.in_band
+    f = np.asarray(problem.frequencies, dtype=float)[sel]
     target = np.asarray(problem.target, dtype=float)[sel]
     stderr = np.asarray(problem.stderr, dtype=float)[sel]
     if np.any(target <= 0):
@@ -527,10 +526,8 @@ def fit(problem: FitProblem) -> FitResult:
         return np.array([values[n] for n in names])
 
     order = sorted(range(len(points)), key=lambda i: (points[i].loss, i))
+    # each search keeps its start's loss as a ceiling: best <= min(start_losses)
     best = points[order[0]]
-    if best.loss > min(start_losses):
-        # every start's search keeps its own start's loss as a ceiling
-        raise ModelError("optimizer regressed past its initial point")
     theta = theta_of(best)
     det_step = None if det_bounds is None else 1e-4 * (det_bounds[1] - det_bounds[0])
     sigma, corr = _sigma_and_correlation(

@@ -324,7 +324,6 @@ BAD_INPUTS = [
         for key in ("quality_factor", "wavelength_m", "excess_noise_ref_power_w")
         for command in ("synth", "theory", "estimate")
     ),
-    ("estimate", SMALL_CFG, ["--band-hz", "121000"], "more than the"),
     *(
         ("estimate", SMALL_CFG.replace("= 600.0", f"= {width}"), [], "more than the")
         for width in ("1e20", "1e30")
@@ -356,7 +355,7 @@ BAD_INPUT_IDS = [
         for key in ("quality_factor", "wavelength_m", "excess_noise_ref_power_w")
         for command in ("synth", "theory", "estimate")
     ),
-    "band-flag-121000", "band-key-1e20", "band-key-1e30", "inverted-band",
+    "band-key-1e20", "band-key-1e30", "inverted-band",
     "multistarts-0", "multistarts-neg3", "multistarts-1e20",
     *(
         f"analysis-freq-{freq}-{command}"
@@ -364,6 +363,50 @@ BAD_INPUT_IDS = [
         for command in ("estimate", "fit")
     ),
     "confidence-0", "confidence-neg0.5", "confidence-1",
+]
+
+
+
+def _fit_key(key, value):
+    """SMALL_CFG with one ``[fit]`` key set, replacing its line if it has one."""
+    head, fit = SMALL_CFG.split("[fit]\n")
+    lines = [line for line in fit.splitlines() if not line.startswith(f"{key} =")]
+    return head + "[fit]\n" + "\n".join([f"{key} = {value}", *lines]) + "\n"
+
+
+# Settings that only the config and the dataset header decide, each now
+# rejected before any payload sample is read:
+# (command, run config, exit code, error text).
+REJECTED_BEFORE_PAYLOAD = [
+    *(
+        (command, _estimate_key("window", "blackman"), 2, "window must be one of")
+        for command in ("estimate", "fit")
+    ),
+    # 165-175 kHz holds no bin of the shot-noise calibration bands
+    *(
+        (command, SMALL_CFG.replace("= 120e3\nband_hi_hz = 220e3",
+                                    "= 165e3\nband_hi_hz = 175e3"), 4,
+         "calibration bands")
+        for command in ("estimate", "fit")
+    ),
+    *(
+        ("estimate", SMALL_CFG.replace("= 600.0", f"= {width}"), 2,
+         "narrower than the grid spacing")
+        for width in ("0", "-5", "10")
+    ),
+    ("fit", _fit_key("band_lo_hz", "190e3").replace(
+        "band_hi_hz = 190e3", "band_hi_hz = 150e3"), 2, "excludes every target"),
+    ("fit", _fit_key("band_lo_hz", "300e3"), 2, "excludes every target"),
+    ("fit", _fit_key("detuning_lo_kappa", "0.01"), 2, "finite and ordered"),
+    ("fit", _fit_key("phi_s_lo_rad", "1"), 2, "finite and ordered"),
+    ("fit", _fit_key("free_params", "detuning,bogus"), 2, "bogus"),
+    ("fit", _fit_key("n_multistarts", "0"), 2, "n_multistarts"),
+]
+REJECTED_BEFORE_PAYLOAD_IDS = [
+    "window-estimate", "window-fit", "no-calibration-bins-estimate",
+    "no-calibration-bins-fit", "band-width-0", "band-width-neg5",
+    "band-width-10", "fit-band-inverted", "fit-band-lo-300e3", "detuning-lo",
+    "phi-s-lo", "free-params-bogus", "multistarts-0",
 ]
 
 
@@ -440,27 +483,23 @@ class TestCliErrorFamilies:
         assert "non-finite samples in difference channel" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("key, value, argv", [
-        ("peak_limit", "abc", []),
-        (None, None, ["--band-hz", "nan"]),
-        (None, None, ["--band-hz", "inf"]),
-        ("band_average_hz", "nan", []),
-        ("peak_limit", "nan", []),
-    ], ids=["peak-abc", "band-flag-nan", "band-flag-inf", "band-key-nan", "peak-nan"])
-    def test_bad_number_exit_2(self, small_qnd, tmp_path, capsys, key, value, argv):
-        text = SMALL_CFG
-        if key is not None:  # set the key in SMALL_CFG's [estimate] section
-            line = "band_average_hz = 600.0\n"
-            text = text.replace(
-                line, f"{key} = {value}\n" + line * (key != "band_average_hz")
-            )
+    @pytest.mark.parametrize("key, value", [
+        ("peak_limit", "abc"),
+        ("band_average_hz", "nan"),
+        ("peak_limit", "nan"),
+    ], ids=["peak-abc", "band-key-nan", "peak-nan"])
+    def test_bad_number_exit_2(self, small_qnd, tmp_path, capsys, key, value):
+        # set the key in SMALL_CFG's [estimate] section
+        line = "band_average_hz = 600.0\n"
+        text = SMALL_CFG.replace(
+            line, f"{key} = {value}\n" + line * (key != "band_average_hz")
+        )
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"
         assert cli.main(["estimate", str(small_qnd), "--config", str(cfg),
-                         "--out", str(out), *argv]) == 2
-        err = capsys.readouterr().err
-        assert f"[estimate] {key}" in err if key else "band width" in err
+                         "--out", str(out)]) == 2
+        assert f"[estimate] {key}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_all_segments_spiked_exit_4(self, tmp_path, system):
@@ -472,7 +511,9 @@ class TestCliErrorFamilies:
         path = tmp_path / "spiked.qnd"
         q.write_dataset(ds, path)
         small = tmp_path / "run.cfg"
-        small.write_text("[synth]\nsegment_length = 8192\nn_segments = 8\n")
+        # 1300 Hz spans two of the grid's 610 Hz bins
+        small.write_text("[synth]\nsegment_length = 8192\nn_segments = 8\n"
+                         "[estimate]\nband_average_hz = 1300\n")
         rc = cli.main(["estimate", str(path), "--config", str(small),
                        "--out", str(tmp_path)])
         assert rc == 4
@@ -498,7 +539,9 @@ class TestCliErrorFamilies:
         ["fit", "dataset.qnd", "--vacuum-only"],
         ["theory", "--seed", "1"],
         ["budget", "--seed", "1"],
-    ], ids=["estimate-seed", "fit-vacuum-only", "theory-seed", "budget-seed"])
+        ["estimate", "dataset.qnd", "--band-hz", "150"],
+    ], ids=["estimate-seed", "fit-vacuum-only", "theory-seed", "budget-seed",
+            "estimate-band-hz"])
     def test_flag_the_command_ignores_exit_2(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(tmp_path)])
@@ -528,13 +571,12 @@ class TestCliErrorFamilies:
                        "--channels", "bogus", "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_zero_band_width_exit_2(self, tmp_path):
+    def test_zero_band_width_exit_2(self, small_qnd, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth.QndFile, "segment", _no_payload_read)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL_CFG)
-        assert cli.main(["synth", "--config", str(cfg),
-                         "--out", str(tmp_path)]) == 0
-        rc = cli.main(["estimate", str(tmp_path / "dataset.qnd"), "--band-hz", "0",
-                       "--config", str(cfg), "--out", str(tmp_path / "est")])
+        cfg.write_text(SMALL_CFG.replace("= 600.0", "= 0"))
+        rc = cli.main(["estimate", str(small_qnd), "--config", str(cfg),
+                       "--out", str(tmp_path / "est")])
         assert rc == 2
         assert not (tmp_path / "est" / "report.txt").exists()
 
@@ -551,18 +593,17 @@ class TestCliErrorFamilies:
         assert match in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("command, text, argv, match", [
-        ("estimate", SMALL_CFG, ["--band-hz", "121000"], "more than the"),
-        ("estimate", SMALL_CFG.replace("= 600.0", "= 1e20"), [], "more than the"),
+    @pytest.mark.parametrize("command, text, match", [
+        ("estimate", SMALL_CFG.replace("= 600.0", "= 1e20"), "more than the"),
         ("estimate", SMALL_CFG.replace("= 120e3\nband_hi_hz = 220e3",
-                                       "= 220e3\nband_hi_hz = 100e3"), [], "low edge"),
-        ("estimate", _estimate_key("analysis_freq_hz", "1e30"), [], "analysis_freq_hz"),
-        ("fit", _estimate_key("analysis_freq_hz", "-1"), [], "analysis_freq_hz"),
-        ("estimate", _estimate_key("confidence", "1"), [], "confidence"),
-    ], ids=["band-flag", "band-key", "inverted-band", "analysis-freq-estimate",
+                                       "= 220e3\nband_hi_hz = 100e3"), "low edge"),
+        ("estimate", _estimate_key("analysis_freq_hz", "1e30"), "analysis_freq_hz"),
+        ("fit", _estimate_key("analysis_freq_hz", "-1"), "analysis_freq_hz"),
+        ("estimate", _estimate_key("confidence", "1"), "confidence"),
+    ], ids=["band-key", "inverted-band", "analysis-freq-estimate",
             "analysis-freq-fit", "confidence"])
     def test_band_rejected_before_reading(self, small_qnd, tmp_path, capsys,
-                                          monkeypatch, command, text, argv, match):
+                                          monkeypatch, command, text, match):
         # the header's grid and the config settle these, so no payload
         # sample is read
         monkeypatch.setattr(synth.QndFile, "segment", _no_payload_read)
@@ -570,8 +611,24 @@ class TestCliErrorFamilies:
         cfg.write_text(text)
         out = tmp_path / "out"
         assert cli.main([command, str(small_qnd), "--config", str(cfg),
-                         "--out", str(out), *argv]) == 2
+                         "--out", str(out)]) == 2
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, code, match", REJECTED_BEFORE_PAYLOAD,
+                             ids=REJECTED_BEFORE_PAYLOAD_IDS)
+    def test_rejected_before_any_payload_sample(self, small_qnd, tmp_path, capsys,
+                                                monkeypatch, command, text, code,
+                                                match):
+        # each setting is checked by the code that uses it, called on the
+        # header's grid before the payload
+        monkeypatch.setattr(synth.QndFile, "segment", _no_payload_read)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main([command, str(small_qnd), "--config", str(cfg),
+                         "--out", str(out)]) == code
+        assert match in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_sigterm_leaves_no_file(self, tmp_path):
         # SIGTERM during the draws exits 143 after the writer's clean-up;
