@@ -243,6 +243,10 @@ class RunConfig:
         return freq
 
     def fit_bounds(self, kappa: float) -> dict:
+        """The ``[fit]`` (lo, hi) bounds of each ``free_params`` name.
+
+        An unknown name gets empty bounds: ``FitProblem`` rejects it.
+        """
         names = [
             n.strip() for n in self.get("fit", "free_params").split(",") if n.strip()
         ]
@@ -254,10 +258,10 @@ class RunConfig:
         }
         bounds = {}
         for name in names:
-            if name not in keys:
-                raise ConfigError(f"[fit] free_params: unknown parameter {name!r}")
             scale = kappa if name == "detuning" else 1.0
-            bounds[name] = tuple(self.get_float("fit", k) * scale for k in keys[name])
+            bounds[name] = tuple(
+                self.get_float("fit", k) * scale for k in keys.get(name, ())
+            )
         return bounds
 
 

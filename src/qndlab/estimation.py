@@ -68,8 +68,6 @@ class SpectrumEstimate:
     values: np.ndarray
     stderr: np.ndarray
     n_averages: int
-    sql_reference: float = 1.0
-    normalized: bool = False
     # bins that electronic-noise subtraction floored at zero
     floored_bins: int = 0
     # set by band_average: the band width and the belt's normal quantile
@@ -94,8 +92,6 @@ class SpectrumEstimate:
             self,
             values=self.values / sql_reference,
             stderr=self.stderr / sql_reference,
-            sql_reference=sql_reference,
-            normalized=True,
         )
 
 
@@ -108,7 +104,6 @@ class ResidualEstimate(SpectrumEstimate):
     pointwise; only the expectation is.
     """
 
-    channels_used: tuple = ("meter",)
     half_values: tuple = ()
     half_stderr: tuple = ()
 
@@ -288,7 +283,7 @@ def _residual_eval(x, preds, alphas, length):
     return np.abs(r) ** 2 / length
 
 
-def _assemble_residual(seg, x, preds, alpha_solver, channels_used):
+def _assemble_residual(seg, x, preds, alpha_solver):
     _need_dfts(seg)
     n = x.shape[0]
     if n < 4:
@@ -314,7 +309,6 @@ def _assemble_residual(seg, x, preds, alpha_solver, channels_used):
         values=values,
         stderr=stderr,
         n_averages=m,
-        channels_used=channels_used,
         half_values=halves_vals,
         half_stderr=halves_err,
     )
@@ -333,9 +327,12 @@ def residual_single(
     def solver(preds, x):
         return (_alpha_single(x, preds[0]),)
 
-    return _assemble_residual(
-        seg, seg.dfts[x_channel], [seg.dfts[y_channel]], solver, (y_channel,)
-    )
+    return _assemble_residual(seg, seg.dfts[x_channel], [seg.dfts[y_channel]], solver)
+
+
+# the two predictors of ``residual_two_channel`` are (nearly) linearly
+# dependent where their 2x2 determinant falls below _DET_FLOOR of s11*s22
+_DET_FLOOR = 1e-10
 
 
 def residual_two_channel(
@@ -343,7 +340,6 @@ def residual_two_channel(
     x_channel: str = "sum",
     y1_channel: str = "meter",
     y2_channel: str = "meter_squared",
-    det_floor: float = 1e-10,
 ) -> ResidualEstimate:
     """Split-sample residual with two predictor channels.
 
@@ -360,7 +356,7 @@ def residual_two_channel(
         s12 = np.sum(y1 * np.conj(y2), axis=0)
         det = s11 * s22 - np.abs(s12) ** 2
         scale = s11 * s22
-        if np.any(det < det_floor * scale):
+        if np.any(det < _DET_FLOOR * scale):
             raise StatisticsError(
                 "predictor channels are (nearly) linearly dependent"
             )
@@ -375,7 +371,6 @@ def residual_two_channel(
         seg.dfts[x_channel],
         [seg.dfts[y1_channel], seg.dfts[y2_channel]],
         solver,
-        (y1_channel, y2_channel),
     )
 
 
@@ -402,30 +397,26 @@ def msc_estimate(
 SHOT_BANDS = ((154e3, 163e3), (176e3, 180e3))
 
 
-def calibration_bins(frequencies: np.ndarray, bands: tuple = SHOT_BANDS):
-    """Mask of the ``frequencies`` inside the calibration ``bands``, at least two."""
+def calibration_bins(frequencies: np.ndarray):
+    """Mask of the ``frequencies`` inside ``SHOT_BANDS``, at least two."""
     sel = np.zeros(len(frequencies), dtype=bool)
-    for lo, hi in bands:
+    for lo, hi in SHOT_BANDS:
         sel |= (frequencies >= lo) & (frequencies <= hi)
     if sel.sum() < 2:
-        raise StatisticsError(f"calibration bands {bands} not on the grid")
+        raise StatisticsError(f"calibration bands {SHOT_BANDS} not on the grid")
     return sel
 
 
-def shot_calibration(
-    est: SpectrumEstimate,
-    analysis_freq: float = 170e3,
-    bands: tuple = SHOT_BANDS,
-):
+def shot_calibration(est: SpectrumEstimate, analysis_freq: float = 170e3):
     """In-run SQL reference from the difference channel.
 
-    Fits a straight line to the spectral density over the sideband
-    intervals (excluding the oscillator region between them) and
+    Fits a straight line to the spectral density over the ``SHOT_BANDS``
+    sideband intervals (excluding the oscillator region between them) and
     evaluates it at the analysis frequency.  Returns (sql_reference,
     report dict).
     """
     f = est.frequencies
-    sel = calibration_bins(f, bands)
+    sel = calibration_bins(f)
     coeffs = np.polyfit(f[sel], est.values[sel], 1)
     sql = float(np.polyval(coeffs, analysis_freq))
     scatter = float(np.std(est.values[sel] - np.polyval(coeffs, f[sel])))

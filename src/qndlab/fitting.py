@@ -51,7 +51,9 @@ _EXACT_LOSS = 1e-12
 # eigenvalues of the unit-diagonal Fisher matrix at or below this are
 # directions the data do not resolve
 _FISHER_RCOND = 1e-12
-# the most multistarts a fit may run: each costs up to max_evals model builds
+# the most model builds one multistart may spend
+_MAX_EVALS = 4000
+# the most multistarts a fit may run: each costs up to _MAX_EVALS model builds
 _MAX_MULTISTARTS = 1000
 
 
@@ -59,14 +61,14 @@ _MAX_MULTISTARTS = 1000
 class FitProblem:
     """Weighted log-spectral fit of the signal quadrature spectrum.
 
-    ``free_params`` maps a parameter name to finite (lo, hi) bounds:
-    "detuning" in rad/s, "phi_s" in rad, "zeta_background" (non-negative)
-    in the noise model's background units.  The target should be
-    normalized to SQL with electronic noise removed.  Weights follow from
-    the relative errors: w = (value/stderr)^2, the inverse variance of
-    log S; the fit ``band`` must hold at least one target point.
-    ``n_multistarts`` lies in [1, ``_MAX_MULTISTARTS``] and
-    ``max_evals`` caps the model builds of each start.
+    ``free_params`` maps a name of ``FREE_PARAMS`` to finite (lo, hi)
+    bounds: "detuning" in rad/s, "phi_s" in rad, "zeta_background"
+    (non-negative) in the noise model's background units.  The target
+    should be normalized to SQL with electronic noise removed.  Weights
+    follow from the relative errors: w = (value/stderr)^2, the inverse
+    variance of log S; the fit ``band`` must hold at least one target point.
+    ``n_multistarts`` lies in [1, ``_MAX_MULTISTARTS``]; each start
+    builds at most ``_MAX_EVALS`` models.
     """
 
     system: SystemParams
@@ -77,14 +79,22 @@ class FitProblem:
     band: tuple = DEFAULT_BAND
     n_multistarts: int = 20
     seed: int = 0
-    max_evals: int = 4000
 
     def __post_init__(self):
         if not self.free_params:
             raise ConfigError("at least one free parameter is required")
-        for name, (lo, hi) in self.free_params.items():
+        for name, bounds in self.free_params.items():
             if name not in FREE_PARAMS:
-                raise ConfigError(f"unknown free parameter {name!r}")
+                raise ConfigError(
+                    f"free_params: unknown parameter {name!r}, "
+                    f"expected one of {', '.join(FREE_PARAMS)}"
+                )
+            try:
+                lo, hi = (float(v) for v in bounds)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"bounds for {name!r} must be a (lo, hi) pair, got {bounds!r}"
+                ) from None
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ConfigError(f"bounds for {name!r} must be finite and ordered")
         if self.free_params.get("zeta_background", (0.0, 0.0))[0] < 0:
@@ -271,8 +281,11 @@ class _Profile:
             lam = max(lam / 10.0, 1e-12)
         return phi, b, f, False, start
 
-    def search(self, start: dict, det_bounds, shared, max_evals):
-        """One start: (best point, loss at the start, converged)."""
+    def search(self, start: dict, det_bounds, shared):
+        """One start: (best point, loss at the start, converged).
+
+        The start builds at most ``_MAX_EVALS`` models.
+        """
         phi0, b0 = start.get("phi_s", 0.0), start.get("zeta_background", 0.0)
         if det_bounds is None:
             phi, b, f, ok, start_loss = self.solve(shared, phi0, b0)
@@ -296,7 +309,7 @@ class _Profile:
         lo, hi = det_bounds
         ok = _minimize_from(
             profile_loss, det0, f, lo, hi, _BRACKET_STEP * (hi - lo),
-            max_evals - (self.builds - builds0),
+            _MAX_EVALS - (self.builds - builds0),
         )
         return best, start_loss, ok
 
@@ -506,15 +519,13 @@ def fit(problem: FitProblem) -> FitResult:
     starts += [rng.uniform(lo, hi) for _ in range(problem.n_multistarts - 1)]
     points, start_losses, converged = [], [], []
     for x0 in starts:
-        point, start_loss, ok = profile.search(
-            dict(zip(names, x0)), det_bounds, shared, problem.max_evals
-        )
+        point, start_loss, ok = profile.search(dict(zip(names, x0)), det_bounds, shared)
         points.append(point)
         start_losses.append(start_loss)
         converged.append(ok)
     if not any(converged):
         raise ModelError(
-            f"no multistart converged within {problem.max_evals} model builds"
+            f"no multistart converged within {_MAX_EVALS} model builds"
         )
 
     def theta_of(point):
@@ -554,7 +565,7 @@ def fit(problem: FitProblem) -> FitResult:
         message=(
             "profile search converged"
             if converged[order[0]]
-            else f"best start stopped at {problem.max_evals} model builds"
+            else f"best start stopped at {_MAX_EVALS} model builds"
         ),
         correlation={
             (names[i], names[j]): float(corr[i, j])

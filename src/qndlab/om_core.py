@@ -23,6 +23,10 @@ from .params import (
 
 # Relative floor on the susceptibility bracket before declaring instability.
 _DIVERGENCE_FLOOR = 1e-30
+# The bare-detuning fixed-point iteration of ``steady_state`` stops once a
+# step moves the position by at most _RTOL of it, or gives up after _MAX_ITER.
+_MAX_ITER = 10_000
+_RTOL = 1e-12
 
 VACUUM_CHANNELS = ("a1", "a2", "a3", "a4", "a5")
 CLASSICAL_CHANNELS = ("eps", "zeta", "xi")
@@ -64,8 +68,6 @@ def steady_state(
     mech: MechanicalParams,
     cavity: CavityParams,
     drive: DriveParams,
-    max_iter: int = 10_000,
-    rtol: float = 1e-12,
 ) -> CouplingState:
     """Stationary solution of the driven cavity.
 
@@ -86,11 +88,11 @@ def steady_state(
         delta0 = cavity.detuning0
         q_s = 0.0
         damping = 0.5
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             delta = delta0 + g0 * q_s
             alpha_s = e0 / (kappa - 1j * delta)
             q_new = (g0 / mech.omega_m) * abs(alpha_s) ** 2
-            if abs(q_new - q_s) <= rtol * max(abs(q_new), 1e-300):
+            if abs(q_new - q_s) <= _RTOL * max(abs(q_new), 1e-300):
                 q_s = q_new
                 break
             q_s = (1.0 - damping) * q_s + damping * q_new

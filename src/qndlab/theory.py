@@ -302,69 +302,34 @@ def residual_spectrum_theory(s_xx, msc):
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """Per-source decomposition of a spectrum.
+    """Per-source decomposition of a port spectrum.
 
-    In the linear (port spectrum) mode, ``contributions`` sum to ``total``.
-    In residual mode the entries are the cumulative-activation curves of
-    the residual spectrum, ending at ``total``.
+    The ``contributions``, one per source group, sum to ``total``.
     """
 
     frequencies: np.ndarray
     total: np.ndarray
     contributions: dict
-    residual_mode: bool = False
 
 
-# Activation order for the residual-mode budget.
-RESIDUAL_ORDER = ("laser", "cavity_loss", "thermal", "cavity_phase", "detection")
-
-
-def noise_budget(
-    system: SystemParams, port, phi, omega, residual: bool = False
-) -> NoiseBudget:
-    """Noise budget of a port spectrum, or of the residual spectrum.
-
-    Linear mode returns one additive contribution per source group.
-    Residual mode activates the sources cumulatively (laser, + cavity
-    losses, + thermal, + cavity phase, + detection vacuum) and reports the
-    residual spectrum at each stage.
-    """
+def noise_budget(system: SystemParams, port, phi, omega) -> NoiseBudget:
+    """Noise budget of a port spectrum: one additive contribution per source group."""
     model = SpectrumModel(system, omega)
     if phi is None:
         phi = model.phi_s if port == "signal" else model.phi_m
-    if not residual:
-        contributions = {
-            source: model.quadrature_spectrum(port, phi, (source,))
-            for source in SOURCE_GROUPS
-        }
-        total = sum(contributions.values())
-        return NoiseBudget(model.omega, total, contributions)
-
-    contributions = {}
-    active = []
-    total = None
-    for source in RESIDUAL_ORDER:
-        active.append(source)
-        s_xs = model.quadrature_spectrum("signal", model.phi_s, active)
-        s_ym = model.quadrature_spectrum("meter", model.phi_m, active)
-        s_xy = model.cross_spectrum(sources=active)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            msc = np.where(
-                (s_xs > 0) & (s_ym > 0),
-                np.abs(s_xy) ** 2 / np.where(s_xs * s_ym > 0, s_xs * s_ym, 1.0),
-                0.0,
-            )
-        total = s_xs * (1.0 - np.clip(msc, 0.0, 1.0))
-        contributions["+".join(active)] = total
-    return NoiseBudget(model.omega, total, contributions, residual_mode=True)
+    contributions = {
+        source: model.quadrature_spectrum(port, phi, (source,))
+        for source in SOURCE_GROUPS
+    }
+    total = sum(contributions.values())
+    return NoiseBudget(model.omega, total, contributions)
 
 
-def default_omega_grid(system: SystemParams, n_points: int = 4096, half_span=None):
-    """Angular-frequency grid centered on the mechanical resonance.
+# half-span of ``default_omega_grid``: the resonance region of interest
+_HALF_SPAN = 2.0 * np.pi * 25e3
 
-    Default half-span 2*pi*25 kHz covers the resonance region of interest.
-    """
-    if half_span is None:
-        half_span = 2.0 * np.pi * 25e3
+
+def default_omega_grid(system: SystemParams, n_points: int = 4096):
+    """Angular-frequency grid of half-span 2*pi*25 kHz on the mechanical resonance."""
     center = system.mech.omega_m
-    return np.linspace(center - half_span, center + half_span, n_points)
+    return np.linspace(center - _HALF_SPAN, center + _HALF_SPAN, n_points)

@@ -349,7 +349,6 @@ class TestResidualTwoChannel:
         r1 = q.residual_single(seg, "sum", "meter")
         r2 = q.residual_two_channel(seg, "sum", "meter", "meter_squared")
         assert r2.values[1:].mean() < 0.6 * r1.values[1:].mean()
-        assert r2.channels_used == ("meter", "meter_squared")
 
 
 class TestMsc:

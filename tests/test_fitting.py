@@ -11,6 +11,7 @@ from qndlab import fitting, theory
 from qndlab.errors import ConfigError, ModelError, StatisticsError
 
 TWO_PI = 2.0 * np.pi
+PAIR = r"must be a \(lo, hi\) pair"
 
 
 def _signal_spectrum(system, f):
@@ -33,6 +34,24 @@ class TestProblemValidation:
         f, s, e = self._args(system)
         with pytest.raises(ConfigError):
             fitting.FitProblem(system, f, s, e, {"mass": (0.0, 1.0)})
+
+    @pytest.mark.parametrize(
+        "free_params, message",
+        [
+            # the name is checked before its bounds
+            ({"bogus": ()}, "free_params: unknown parameter 'bogus', expected one of "
+             "detuning, phi_s, zeta_background"),
+            ({"phi_s": (0.0,)}, PAIR),
+            ({"phi_s": (-0.1, 0.0, 0.1)}, PAIR),
+            ({"phi_s": 0.1}, PAIR),
+            ({"phi_s": ("lo", "hi")}, PAIR),
+        ],
+        ids=["unknown-empty", "one-value", "three-values", "scalar", "not-numbers"],
+    )
+    def test_malformed_bounds_are_config_errors(self, system, free_params, message):
+        f, s, e = self._args(system)
+        with pytest.raises(ConfigError, match=message):
+            fitting.FitProblem(system, f, s, e, free_params)
 
     def test_unordered_bounds(self, system):
         f, s, e = self._args(system)
@@ -348,12 +367,13 @@ class TestProfileFit:
         ))
         assert free.n_evals > 5
 
-    def test_build_budget_is_per_start(self, system):
+    def test_build_budget_is_per_start(self, system, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_EVALS", 3)
         f = np.linspace(150e3, 190e3, 120)
         s = _signal_spectrum(system, f)
         prob = fitting.FitProblem(
             system, f, s, 0.02 * s, _bounds(system, ("detuning",)),
-            n_multistarts=3, seed=0, max_evals=3,
+            n_multistarts=3, seed=0,
         )
         with pytest.raises(ModelError, match="no multistart converged"):
             fitting.fit(prob)

@@ -64,8 +64,6 @@ def _assert_same_estimate(got, want):
     np.testing.assert_array_equal(got.values, want.values)
     np.testing.assert_array_equal(got.stderr, want.stderr)
     assert got.n_averages == want.n_averages
-    assert got.sql_reference == want.sql_reference
-    assert got.normalized == want.normalized
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

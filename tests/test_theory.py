@@ -362,14 +362,3 @@ class TestNoiseBudget:
         i = np.argmin(zeta)
         assert 0 < i < len(f) - 1  # an interior local minimum
         assert abs(f[i] - system.mech.omega_m / TWO_PI) < 500.0
-
-    def test_residual_mode_cumulative_order(self, system):
-        w = theory.default_omega_grid(system, n_points=256)
-        budget = theory.noise_budget(system, "signal", None, w, residual=True)
-        assert budget.residual_mode
-        keys = tuple(budget.contributions)
-        assert keys[0] == "laser"
-        # cumulative activation in the fixed source order
-        for prev, cur in zip(keys, keys[1:]):
-            assert cur.startswith(prev + "+")
-        assert keys[-1].split("+") == list(theory.RESIDUAL_ORDER)
