@@ -14,7 +14,7 @@ from qndlab import theory
 
 system = q.reference_defaults()
 freq = np.linspace(160e3, 180e3, 2001)
-budget = theory.noise_budget(system, "signal", None, 2 * np.pi * freq)
+budget = theory.noise_budget(system, "signal", 2 * np.pi * freq)
 
 i_peak = np.argmax(budget.total)
 print(f"budget at the {freq[i_peak]:.0f} Hz peak (SQL units):")
@@ -26,7 +26,7 @@ for name, curve in sorted(budget.contributions.items(), key=lambda kv: -kv[1][i_
 squeezing = replace(system, cavity=replace(system.cavity,
                                            detuning=-0.019 * system.cavity.kappa),
                     signal_phase=-41.5e-3)
-budget = theory.noise_budget(squeezing, "signal", None, 2 * np.pi * freq)
+budget = theory.noise_budget(squeezing, "signal", 2 * np.pi * freq)
 zeta = budget.contributions["cavity_phase"]
 i_min = np.argmin(zeta)
 f_m = system.mech.omega_m / (2 * np.pi)

@@ -9,15 +9,20 @@ Exit codes, carried by the error families of ``errors``:
      that did not make the dataset, ``fit`` on a vacuum-only dataset, an
      inverted estimate band, an analysis frequency outside it, an unknown
      window, a band-average width or belt confidence ``band_average``
-     rejects, a ``[fit]`` setting ``FitProblem`` rejects
+     rejects, a ``[fit]`` band reaching past the estimate band, a ``[fit]``
+     setting ``FitProblem`` rejects
   3  FormatError or OSError: missing or malformed dataset file
   4  StatisticsError: too few segments, singular systems, degenerate
-     targets, an estimate band off the grid
+     targets, an estimate band off the grid, one without calibration bins,
+     and for ``estimate`` one without a bin in the window of the residual
+     minimum
   5  ModelError: non-convergence, divergent susceptibility, domain
+
 ``estimate`` and ``fit`` run every check that needs only the config and
-the dataset header before they read any payload sample.  Any other exception propagates with its traceback.  SIGTERM exits 143
-after the same clean-up an exception runs, so ``synth`` leaves no
-temporary file behind.
+the dataset header before they read any payload sample.  Any other
+exception propagates with its traceback.  SIGTERM exits 143 after the
+same clean-up an exception runs, so ``synth`` leaves no temporary file
+behind.
 """
 
 from __future__ import annotations
@@ -34,8 +39,22 @@ import numpy as np
 
 from . import estimation, fitting, synth, theory
 from .config import RunConfig, default_config_text, load_config
-from .errors import ConfigError, QndError
+from .errors import ConfigError, QndError, StatisticsError
 from .pipeline import analyze
+
+
+def _minimum_window(frequencies):
+    """Mask of the open 160-180 kHz window of ``estimate``'s residual minimum.
+
+    Raises for ``frequencies`` without a bin there.
+    """
+    inside = (frequencies > 160e3) & (frequencies < 180e3)
+    if not inside.any():
+        raise StatisticsError(
+            "the estimate band holds no bin of 160-180 kHz, where the report "
+            "looks for the residual minimum"
+        )
+    return inside
 
 
 def _write_csv(path, header, columns, config_hash=None):
@@ -148,7 +167,7 @@ def cmd_theory(cfg: RunConfig, args) -> int:
 def cmd_budget(cfg: RunConfig, args) -> int:
     system = _system(cfg, args.vacuum_only)
     omega = theory.default_omega_grid(system)
-    budget = theory.noise_budget(system, "signal", None, omega)
+    budget = theory.noise_budget(system, "signal", omega)
     header = ["frequency_hz"] + list(budget.contributions) + ["total"]
     columns = [omega / (2 * np.pi)]
     columns += [budget.contributions[k] for k in budget.contributions]
@@ -185,6 +204,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
     confidence = cfg.get_float("estimate", "confidence")
     with _open_dataset(cfg, args.dataset, vacuum_only_ok=True) as (ds, freqs):
         estimation.banding(width, freqs, confidence)
+        _minimum_window(freqs)
         analysis = analyze(ds, cfg)
     seg = analysis.seg
     res = residual(seg)
@@ -205,8 +225,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         [diag.frequencies, diag.values],
     )
     f = banded.frequencies
-    focus = (f > 160e3) & (f < 180e3)
-    imin = np.argmin(np.where(focus, banded.values, np.inf))
+    imin = np.argmin(np.where(_minimum_window(f), banded.values, np.inf))
     report = [
         "estimation report",
         "-----------------",
@@ -237,7 +256,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
             target=np.ones_like(freqs),
             stderr=np.ones_like(freqs),
             free_params=cfg.fit_bounds(system.cavity.kappa),
-            band=(cfg.get_float("fit", "band_lo_hz"), cfg.get_float("fit", "band_hi_hz")),
+            band=cfg.fit_band(),
             n_multistarts=cfg.get_int("fit", "n_multistarts"),
             seed=cfg.seed(args.seed),
         )

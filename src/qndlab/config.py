@@ -242,6 +242,21 @@ class RunConfig:
             )
         return freq
 
+    def fit_band(self) -> tuple[float, float]:
+        """The ``[fit]`` band (f_lo, f_hi) in Hz, edges inside ``estimate_band``.
+
+        The fit reads the estimate's spectrum, which ends at that band.
+        """
+        est_lo, est_hi = self.estimate_band()
+        lo = self.get_float("fit", "band_lo_hz")
+        hi = self.get_float("fit", "band_hi_hz")
+        if lo < est_lo or hi > est_hi:
+            raise ConfigError(
+                f"[fit] band ({lo:g}, {hi:g}) Hz reaches past the estimate band "
+                f"({est_lo:g}, {est_hi:g}) Hz"
+            )
+        return lo, hi
+
     def fit_bounds(self, kappa: float) -> dict:
         """The ``[fit]`` (lo, hi) bounds of each ``free_params`` name.
 

@@ -57,10 +57,6 @@ class SegmentSet:
     def segment_length(self) -> int:
         return self.source.config.segment_length
 
-    @property
-    def sample_rate(self) -> float:
-        return self.source.config.sample_rate
-
 
 @dataclass
 class SpectrumEstimate:

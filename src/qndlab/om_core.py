@@ -305,17 +305,13 @@ def apply_losses_and_modematch(nu: dict, det: DetectionParams) -> dict:
     return ports
 
 
-def output_port_coefficients(
-    system: SystemParams, omega, state: CouplingState | None = None
-) -> dict:
+def output_port_coefficients(system: SystemParams, omega, state: CouplingState) -> dict:
     """Detected-port coefficients after losses and mode matching.
 
     Returns ``apply_losses_and_modematch``'s ``{port: {channel: (A, B)}}``
-    evaluated on the given (possibly signed) omega grid.  The steady state
-    is computed from the mode-matched drive unless supplied.
+    evaluated on the given (possibly signed) omega grid at the steady
+    ``state`` of the mode-matched drive.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if state is None:
-        state = steady_state(system.mech, system.cavity, system.effective_drive())
     nu = transfer_coefficients(state, system.cavity, system.mech, omega)
     return apply_losses_and_modematch(nu, system.det)

@@ -45,10 +45,6 @@ class MechanicalParams:
             raise ConfigError("temperature must be non-negative")
 
     @property
-    def quality_q(self) -> float:
-        return self.omega_m / self.gamma_m
-
-    @property
     def n_thermal(self) -> float:
         """Thermal occupancy of the mode at its resonance frequency."""
         return thermal_occupancy(self.omega_m, self.temperature)

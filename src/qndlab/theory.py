@@ -28,17 +28,13 @@ from .params import MechanicalParams, SystemParams
 # Simplified model (single oscillator, resonant lossless cavity)
 # ---------------------------------------------------------------------------
 
-READOUT_MODES = ("sql", "quantum_limit", "fixed_imprecision")
-
-
 @dataclass(frozen=True)
 class SimpleModelParams:
     """Parameters of the simplified QND model.
 
     Rates are constants at the mechanical resonance; ``kappa=None`` takes
     the bad-cavity limit chi_opt = 1.  ``r_param`` is the readout-noise
-    parameter R; in "fixed_imprecision" mode it is multiplied pointwise by
-    (1/(2*Im chi))*(1/gamma_m + gamma_m*|chi|^2).
+    parameter R of a quantum-limited readout.
     """
 
     omega_m: float
@@ -46,12 +42,9 @@ class SimpleModelParams:
     gamma_ba: float
     gamma_th: float
     r_param: float
-    readout_mode: str = "quantum_limit"
     kappa: float | None = None
 
     def __post_init__(self):
-        if self.readout_mode not in READOUT_MODES:
-            raise ConfigError(f"readout_mode must be one of {READOUT_MODES}")
         if self.r_param < 0:
             raise ConfigError("r_param must be non-negative")
 
@@ -72,17 +65,6 @@ class SimpleModelParams:
         """C(omega) = Gamma_BA * |chi_opt|^2 / Gamma_th."""
         return self.gamma_ba * np.abs(self.chi_opt(omega)) ** 2 / self.gamma_th
 
-    def r_at(self, omega):
-        """Readout parameter R with its mode-dependent frequency weighting."""
-        r = self.r_param * np.ones_like(np.asarray(omega, dtype=float))
-        if self.readout_mode == "fixed_imprecision":
-            chi = self.chi(omega)
-            mult = (1.0 / (2.0 * chi.imag)) * (
-                1.0 / self.gamma_m + self.gamma_m * np.abs(chi) ** 2
-            )
-            r = r * mult
-        return r
-
 
 def displacement_spectrum(params: SimpleModelParams, omega):
     """S_qq = 4*Gamma_th*|chi|^2 + |4*chi*chi_opt|^2 * Gamma_BA."""
@@ -94,20 +76,14 @@ def displacement_spectrum(params: SimpleModelParams, omega):
 
 
 def readout_noise_spectrum(params: SimpleModelParams, omega):
-    """Readout-noise spectrum S_qr for the selected readout model."""
-    chi = params.chi(omega)
-    if params.readout_mode == "sql":
-        return 2.0 * np.abs(chi)
-    if params.readout_mode == "quantum_limit":
-        return 2.0 * chi.imag
-    return 1.0 / params.gamma_m + params.gamma_m * np.abs(chi) ** 2
+    """Quantum-limited readout-noise spectrum S_qr = 2 Im chi."""
+    return 2.0 * params.chi(omega).imag
 
 
 def simple_residual_spectrum(params: SimpleModelParams, omega):
     """Residual uncertainty S_dX = (1 + C/(1+R))^-1 in SQL units."""
     c = params.cooperativity(omega)
-    r = params.r_at(omega)
-    return 1.0 / (1.0 + c / (1.0 + r))
+    return 1.0 / (1.0 + c / (1.0 + params.r_param))
 
 
 def min_quadrature_spectrum(params: SimpleModelParams, omega):
@@ -196,7 +172,7 @@ class SpectrumModel:
         self.psd["eps"] = system.drive.epsilon_psd()
         self.psd["zeta"] = system.zeta.psd(self.omega)
         self.psd["xi"] = system.xi_psd(self.omega)
-        self.phi_r, self.phi_m, self.phi_s_lock = quadrature_phases(
+        _, self.phi_m, self.phi_s_lock = quadrature_phases(
             self.state, system.cavity, system.det
         )
 
@@ -312,11 +288,10 @@ class NoiseBudget:
     contributions: dict
 
 
-def noise_budget(system: SystemParams, port, phi, omega) -> NoiseBudget:
-    """Noise budget of a port spectrum: one additive contribution per source group."""
+def noise_budget(system: SystemParams, port, omega) -> NoiseBudget:
+    """Per-source noise budget of a port spectrum at the port's detection phase."""
     model = SpectrumModel(system, omega)
-    if phi is None:
-        phi = model.phi_s if port == "signal" else model.phi_m
+    phi = model.phi_s if port == "signal" else model.phi_m
     contributions = {
         source: model.quadrature_spectrum(port, phi, (source,))
         for source in SOURCE_GROUPS

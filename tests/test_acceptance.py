@@ -307,7 +307,7 @@ def test_criterion_7_two_channel_improvement(nonlinear_run):
 
 def test_criterion_8_zeta_cancellation(squeeze_system):
     freqs = np.arange(166e3, 172e3, 100.0)
-    budget = theory.noise_budget(squeeze_system, "signal", None, TWO_PI * freqs)
+    budget = theory.noise_budget(squeeze_system, "signal", TWO_PI * freqs)
     zeta = budget.contributions["cavity_phase"]
     interior = np.arange(1, len(zeta) - 1)
     local_min = interior[(zeta[interior] < zeta[interior - 1])

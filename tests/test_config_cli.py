@@ -93,6 +93,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="outside the estimate band"):
             cfg.analysis_freq_hz()
 
+    def test_fit_band_inside_the_estimate_band(self):
+        # the estimate band's edges are allowed; the CLI's rejection is in
+        # REJECTED_BEFORE_PAYLOAD
+        cfg = load_config(text="[fit]\nband_lo_hz = 100e3\nband_hi_hz = 220e3\n")
+        assert cfg.fit_band() == (100e3, 220e3)
+        cfg = load_config(text="[fit]\nband_lo_hz = 99999\n")
+        with pytest.raises(ConfigError, match="reaches past the estimate band"):
+            cfg.fit_band()
+
     def test_frequency_thermal_force_scaling(self):
         flat = load_config(text="").system()
         system = load_config(
@@ -397,6 +406,13 @@ REJECTED_BEFORE_PAYLOAD = [
     ("fit", _fit_key("band_lo_hz", "190e3").replace(
         "band_hi_hz = 190e3", "band_hi_hz = 150e3"), 2, "excludes every target"),
     ("fit", _fit_key("band_lo_hz", "300e3"), 2, "excludes every target"),
+    # the fit reads no bin past the 120-220 kHz estimate band
+    ("fit", _fit_key("band_hi_hz", "1e30"), 2, "reaches past the estimate band"),
+    # 100-159 kHz holds no bin of the window the report's minimum is taken in
+    ("estimate", SMALL_CFG.replace("= 120e3\nband_hi_hz = 220e3",
+                                   "= 100e3\nband_hi_hz = 159e3\n"
+                                   "analysis_freq_hz = 155e3"), 4,
+     "where the report looks for the residual minimum"),
     ("fit", _fit_key("detuning_lo_kappa", "0.01"), 2, "finite and ordered"),
     ("fit", _fit_key("phi_s_lo_rad", "1"), 2, "finite and ordered"),
     ("fit", _fit_key("free_params", "detuning,bogus"), 2, "bogus"),
@@ -405,7 +421,8 @@ REJECTED_BEFORE_PAYLOAD = [
 REJECTED_BEFORE_PAYLOAD_IDS = [
     "window-estimate", "window-fit", "no-calibration-bins-estimate",
     "no-calibration-bins-fit", "band-width-0", "band-width-neg5",
-    "band-width-10", "fit-band-inverted", "fit-band-lo-300e3", "detuning-lo",
+    "band-width-10", "fit-band-inverted", "fit-band-lo-300e3",
+    "fit-band-past-estimate-band", "no-minimum-window-bin", "detuning-lo",
     "phi-s-lo", "free-params-bogus", "multistarts-0",
 ]
 

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter, with the
+warnings that fail a test made errors."""
 
 import os
 import subprocess
@@ -23,8 +24,10 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p
     )
+    # the warnings that pyproject.toml's filterwarnings make test failures
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::ResourceWarning"]
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, *warnings, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -173,7 +173,7 @@ class TestStreaming:
         }
         sq = kept["meter"] ** 2
         kept["meter_squared"] = sq - sq.mean(axis=1, keepdims=True)
-        freqs = np.fft.rfftfreq(length, 1.0 / raw.sample_rate)
+        freqs = np.fft.rfftfreq(length, 1.0 / raw.source.config.sample_rate)
         hann = np.hanning(length)
         hann = hann / np.sqrt(np.mean(hann**2))
         for window, w in (("rectangular", 1.0), ("hann", hann)):

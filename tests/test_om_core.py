@@ -417,7 +417,7 @@ class TestLossesAndModeMatching:
         # each detector mixes in its own loss vacuum: a3 reaches only the
         # meter, a4 only the signal; a classical input's B is its A
         w = np.linspace(0.9, 1.1, 8) * system.mech.omega_m
-        ports = q.output_port_coefficients(system, w)
+        ports = q.output_port_coefficients(system, w, _state(system))
         model = theory.SpectrumModel(system, w)
         expected = {
             "meter": ("a1", "a2", "a3", "a5", "eps", "zeta", "xi"),

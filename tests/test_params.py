@@ -49,10 +49,6 @@ class TestDerivedQuantities:
         c = system.cavity
         assert c.kappa == pytest.approx(c.kappa1 + c.kappa2, rel=1e-12)
 
-    def test_quality_factor(self, system):
-        m = system.mech
-        assert m.quality_q == pytest.approx(m.omega_m / m.gamma_m, rel=1e-12)
-
     def test_drive_amplitude_invariant(self, system):
         e0 = system.drive.e0(system.cavity)
         hbar = 1.0545718176461565e-34

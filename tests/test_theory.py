@@ -50,24 +50,15 @@ class TestSimpleModel:
         assert theory.displacement_spectrum(sp, 1.0) == pytest.approx(expect, rel=1e-12)
 
     def test_readout_models_coincide_on_resonance(self):
-        for mode in ("sql", "quantum_limit", "fixed_imprecision"):
-            sp = theory.SimpleModelParams(**FIG_PARAMS, readout_mode=mode)
-            assert theory.readout_noise_spectrum(sp, 1.0) == pytest.approx(
-                2.0 / 0.005, rel=1e-9
-            )
+        # on resonance 2 Im chi = 2 |chi| = 2/gamma_m
+        sp = theory.SimpleModelParams(**FIG_PARAMS)
+        assert theory.readout_noise_spectrum(sp, 1.0) == pytest.approx(
+            2.0 / 0.005, rel=1e-9
+        )
 
     def test_quantum_limit_static(self):
-        sp = theory.SimpleModelParams(**FIG_PARAMS, readout_mode="quantum_limit")
+        sp = theory.SimpleModelParams(**FIG_PARAMS)
         assert theory.readout_noise_spectrum(sp, 1e-6) == pytest.approx(0.0, abs=1e-5)
-
-    def test_fixed_imprecision_multiplier(self):
-        # one linewidth off resonance the R multiplier is ~1 + 2*1 = 3
-        gm = 1e-4
-        sp = theory.SimpleModelParams(
-            1.0, gm, 1.0, 0.5, r_param=1.0, readout_mode="fixed_imprecision"
-        )
-        mult = sp.r_at(np.array([1.0 + gm]))[0]
-        assert mult == pytest.approx(3.0, rel=0.01)
 
     def test_residual_no_cooperativity(self):
         sp = theory.SimpleModelParams(1.0, 0.005, 0.0, 0.5, 0.0)
@@ -332,7 +323,7 @@ class TestNoiseBudget:
         for sys_ in (system, system.vacuum_only()):
             model = theory.SpectrumModel(sys_, w)
             for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
-                budget = theory.noise_budget(sys_, port, None, w)
+                budget = theory.noise_budget(sys_, port, w)
                 for source, channels in SOURCE_GROUPS.items():
                     # each group is the sum of the contributions of its
                     # channels that reach the port, added in order, bit for bit
@@ -348,7 +339,7 @@ class TestNoiseBudget:
 
     def test_inactive_sources_are_zero(self, system):
         w = theory.default_omega_grid(system, n_points=128)
-        budget = theory.noise_budget(system.vacuum_only(), "signal", None, w)
+        budget = theory.noise_budget(system.vacuum_only(), "signal", w)
         np.testing.assert_allclose(budget.contributions["thermal"], 0.0, atol=1e-12)
         np.testing.assert_allclose(
             budget.contributions["cavity_phase"], 0.0, atol=1e-12
@@ -357,7 +348,7 @@ class TestNoiseBudget:
     def test_zeta_cancellation_near_bare_frequency(self):
         system = q.reference_defaults(detuning_kappa=-0.019, signal_phase_rad=-41.5e-3)
         f = np.arange(168.3e3, 170.3e3, 20.0)
-        budget = theory.noise_budget(system, "signal", None, TWO_PI * f)
+        budget = theory.noise_budget(system, "signal", TWO_PI * f)
         zeta = budget.contributions["cavity_phase"]
         i = np.argmin(zeta)
         assert 0 < i < len(f) - 1  # an interior local minimum
