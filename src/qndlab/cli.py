@@ -9,13 +9,14 @@ Exit codes, carried by the error families of ``errors``:
      that did not make the dataset, ``fit`` on a vacuum-only dataset, an
      inverted estimate band, an analysis frequency outside it, an unknown
      window, a band-average width or belt confidence ``band_average``
-     rejects, a ``[fit]`` band reaching past the estimate band, a ``[fit]``
+     rejects (a confidence whose 0.5 + confidence/2 rounds to 1 or to 0.5
+     among them), a ``[fit]`` band reaching past the estimate band, a ``[fit]``
      setting ``FitProblem`` rejects
   3  FormatError or OSError: missing or malformed dataset file
   4  StatisticsError: too few segments, singular systems, degenerate
      targets, an estimate band off the grid, one without calibration bins,
      and for ``estimate`` one without a bin in the window of the residual
-     minimum
+     minimum, a shot-noise calibration that gives no positive SQL
   5  ModelError: non-convergence, divergent susceptibility, domain
 
 ``estimate`` and ``fit`` run every check that needs only the config and

@@ -66,8 +66,7 @@ class SpectrumEstimate:
     n_averages: int
     # bins that electronic-noise subtraction floored at zero
     floored_bins: int = 0
-    # set by band_average: the band width and the belt's normal quantile
-    band_width_hz: float | None = None
+    # set by band_average: the belt's normal quantile
     belt_z: float | None = None
 
     @property
@@ -409,12 +408,18 @@ def shot_calibration(est: SpectrumEstimate, analysis_freq: float = 170e3):
     Fits a straight line to the spectral density over the ``SHOT_BANDS``
     sideband intervals (excluding the oscillator region between them) and
     evaluates it at the analysis frequency.  Returns (sql_reference,
-    report dict).
+    report dict); a line that is not positive there raises, since it cannot
+    serve as the SQL.
     """
     f = est.frequencies
     sel = calibration_bins(f)
     coeffs = np.polyfit(f[sel], est.values[sel], 1)
     sql = float(np.polyval(coeffs, analysis_freq))
+    if not sql > 0:
+        raise StatisticsError(
+            f"the shot-noise calibration line over SHOT_BANDS {SHOT_BANDS} Hz reads "
+            f"{sql!r} at {analysis_freq:g} Hz: no positive SQL reference"
+        )
     scatter = float(np.std(est.values[sel] - np.polyval(coeffs, f[sel])))
     report = {
         "slope_per_hz": float(coeffs[0]),
@@ -466,81 +471,24 @@ def subtract_electronic_noise(
     )
 
 
-# Cephes ndtri (S. L. Moshier), the algorithm of scipy.special.ndtri, with
-# the same operations in the same order so the result is bit-identical.
-# In pure Python it spares band_average, and with it `qndlab estimate`,
-# the import of scipy.special: about 290 modules and a second OpenBLAS
-# with its own worker thread, loaded in the middle of a run.
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT_2PI = 2.50662827463100050242
-# |p - 0.5| <= 3/8
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-# tails with sqrt(-2 log p) in [2, 8)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-# tails with sqrt(-2 log p) >= 8
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-             3.93881025292474443415e0, 1.33303460815807542389e0,
-             2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6,
-             6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
-             1.37702099489081330271e0, 2.16236993594496635890e-1,
-             1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _horner(x: float, coef: tuple, monic: bool = False) -> float:
-    """Polynomial in x, highest power first; ``monic`` adds a leading 1."""
-    ans = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _normal_quantile(p: float) -> float:
-    """Standard-normal quantile for 0 < p < 1, equal to ``ndtri(p)``."""
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"normal quantile needs 0 < p < 1, got {p!r}")
-    upper = p > 1.0 - _EXP_M2
-    y = 1.0 - p if upper else p
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, True))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    p_coef, q_coef = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x0 - z * _horner(z, p_coef) / _horner(z, q_coef, True)
-    return x if upper else -x
-
-
 def banding(
     band_width_hz: float, frequencies: np.ndarray, confidence: float
-) -> tuple[int, float, float]:
-    """(bins, spacing, belt quantile) of a band average on ``frequencies``.
+) -> tuple[int, float]:
+    """(bins, belt quantile) of a band average on ``frequencies``.
 
     Every rule of ``band_average``: a finite width spanning at least one bin
-    and at most all, at least two bins, and a ``confidence`` in (0, 1).
+    and at most all, at least two bins, and a ``confidence`` whose two-sided
+    quantile argument 0.5 + confidence / 2 lies strictly between 0.5 and 1.
     """
-    if not 0.0 < confidence < 1.0:
+    from statistics import NormalDist  # only here, so the CLI starts on numpy
+
+    p = 0.5 + confidence / 2.0
+    # p rounds to 1, an infinite quantile, for the doubles just below 1, and
+    # to 0.5, a belt of zero width, for those below about 1.1e-16
+    if not 0.5 < p < 1.0:
         raise ConfigError(
-            f"confidence must lie strictly between 0 and 1, got {confidence!r}"
+            "confidence must lie strictly between 0 and 1, with 0.5 + confidence/2 "
+            f"strictly between 0.5 and 1, got {confidence!r}"
         )
     if not math.isfinite(band_width_hz):
         raise ConfigError(f"band width must be finite, got {band_width_hz!r} Hz")
@@ -557,7 +505,7 @@ def banding(
             f"band of {band_width_hz:g} Hz spans {n_bins} bins, more than the "
             f"{len(frequencies)} of the spectrum"
         )
-    return n_bins, df, _normal_quantile(0.5 + confidence / 2.0)
+    return n_bins, NormalDist().inv_cdf(p)
 
 
 def band_average(
@@ -569,7 +517,7 @@ def band_average(
     any copy's is ``values -+ belt_z * stderr``.  ``banding`` holds the
     rules on ``band_width_hz`` and ``confidence``.
     """
-    n_bins, df, z = banding(band_width_hz, est.frequencies, confidence)
+    n_bins, z = banding(band_width_hz, est.frequencies, confidence)
     kernel = np.ones(n_bins) / n_bins
     # edge bins average fewer neighbours; divide by the kernel overlap so
     # they stay unbiased instead of being pulled toward zero
@@ -577,9 +525,7 @@ def band_average(
     values = np.convolve(est.values, kernel, mode="same") / overlap
     # independent-bin averaging shrinks the error by sqrt(bins)
     stderr = np.sqrt(np.convolve(est.stderr**2, kernel**2, mode="same")) / overlap
-    return replace(
-        est, values=values, stderr=stderr, band_width_hz=n_bins * df, belt_z=z
-    )
+    return replace(est, values=values, stderr=stderr, belt_z=z)
 
 
 @dataclass(frozen=True)

@@ -417,13 +417,16 @@ REJECTED_BEFORE_PAYLOAD = [
     ("fit", _fit_key("phi_s_lo_rad", "1"), 2, "finite and ordered"),
     ("fit", _fit_key("free_params", "detuning,bogus"), 2, "bogus"),
     ("fit", _fit_key("n_multistarts", "0"), 2, "n_multistarts"),
+    # the largest double below 1: 0.5 + confidence / 2 rounds to 1
+    ("estimate", _estimate_key("confidence", "0.9999999999999999"), 2,
+     "confidence"),
 ]
 REJECTED_BEFORE_PAYLOAD_IDS = [
     "window-estimate", "window-fit", "no-calibration-bins-estimate",
     "no-calibration-bins-fit", "band-width-0", "band-width-neg5",
     "band-width-10", "fit-band-inverted", "fit-band-lo-300e3",
     "fit-band-past-estimate-band", "no-minimum-window-bin", "detuning-lo",
-    "phi-s-lo", "free-params-bogus", "multistarts-0",
+    "phi-s-lo", "free-params-bogus", "multistarts-0", "confidence-rounds-to-1",
 ]
 
 
@@ -534,6 +537,20 @@ class TestCliErrorFamilies:
         rc = cli.main(["estimate", str(path), "--config", str(small),
                        "--out", str(tmp_path)])
         assert rc == 4
+
+    @pytest.mark.parametrize("command", ["estimate", "fit"])
+    def test_no_shot_noise_exit_4(self, small_qnd, tmp_path, capsys, command):
+        # a difference channel without shot noise calibrates no positive SQL
+        ds = q.read_dataset(small_qnd)
+        path = tmp_path / "silent.qnd"
+        q.write_dataset(
+            dataclasses.replace(ds, difference=np.zeros_like(ds.difference)), path
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        assert cli.main([command, str(path), "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 4
+        assert "no positive SQL reference" in capsys.readouterr().err
 
     def test_floored_fit_target_exit_4(self, tmp_path, capsys):
         # electronic noise far above the signal: its subtraction floors

@@ -97,3 +97,11 @@ def test_every_setting_reaches_the_analysis(datasets):
     assert f[0] >= 130e3 and f[-1] <= 200e3 and f[0] - base.seg.frequencies[0] > 29e3
     np.testing.assert_array_equal(custom.electronic.values, 0.01)
     assert custom.calibration["analysis_freq_hz"] == 168e3
+
+
+def test_no_shot_noise_raises_statistics_error(datasets):
+    # a difference channel without shot noise calibrates no positive SQL
+    ds = datasets["defaults"]
+    silent = replace(ds, difference=np.zeros_like(ds.difference))
+    with pytest.raises(q.StatisticsError, match="no positive SQL reference"):
+        q.analyze(silent, q.load_config(text=""))
