@@ -16,11 +16,7 @@ system = q.reference_defaults()
 freq = np.linspace(150e3, 190e3, 4001)
 model = theory.SpectrumModel(system, 2 * np.pi * freq)
 
-s_xs = model.quadrature_spectrum("signal", model.phi_s)
-phi_m = q.quadrature_phases(model.state, system.cavity, system.det)[1]
-s_ym = model.quadrature_spectrum("meter", phi_m)
-msc = theory.coherence(s_xs, s_ym, model.cross_spectrum())
-residual = theory.residual_spectrum_theory(s_xs, msc)
+s_xs, s_ym, _, msc, residual = model.residual_spectra()
 
 i_peak = np.argmax(s_xs)
 print(f"signal spectrum peak: {freq[i_peak]:.0f} Hz, value {s_xs[i_peak]:.1f} (SQL units)")

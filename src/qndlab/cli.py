@@ -142,11 +142,7 @@ def cmd_theory(cfg: RunConfig, args) -> int:
     )
     omega = theory.default_omega_grid(system)
     model = theory.SpectrumModel(system, omega)
-    s_xs = model.quadrature_spectrum("signal", model.phi_s)
-    s_ym = model.quadrature_spectrum("meter", model.phi_m)
-    s_xy = model.cross_spectrum()
-    msc = theory.coherence(s_xs, s_ym, s_xy)
-    res = theory.residual_spectrum_theory(s_xs, msc)
+    s_xs, s_ym, s_xy, msc, res = model.residual_spectra()
     _write_csv(
         os.path.join(out, "full_model.csv"),
         [

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fitting import FIT_BOUND_KEYS
 from .params import (
     CavityParams,
     DetectionParams,
@@ -265,17 +266,12 @@ class RunConfig:
         names = [
             n.strip() for n in self.get("fit", "free_params").split(",") if n.strip()
         ]
-        # the [fit] keys of each parameter's (lo, hi) bounds; detuning's are in kappa
-        keys = {
-            "detuning": ("detuning_lo_kappa", "detuning_hi_kappa"),
-            "phi_s": ("phi_s_lo_rad", "phi_s_hi_rad"),
-            "zeta_background": ("zeta_background_lo", "zeta_background_hi"),
-        }
         bounds = {}
         for name in names:
             scale = kappa if name == "detuning" else 1.0
             bounds[name] = tuple(
-                self.get_float("fit", k) * scale for k in keys.get(name, ())
+                self.get_float("fit", k) * scale
+                for k in FIT_BOUND_KEYS.get(name, ())
             )
         return bounds
 

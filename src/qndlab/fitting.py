@@ -28,7 +28,14 @@ from .errors import ConfigError, ModelError, StatisticsError
 from .params import SystemParams
 from .theory import SpectrumModel
 
-FREE_PARAMS = ("detuning", "phi_s", "zeta_background")
+# each free parameter's [fit] config keys of its (lo, hi) bounds; detuning's
+# are in units of kappa
+FIT_BOUND_KEYS = {
+    "detuning": ("detuning_lo_kappa", "detuning_hi_kappa"),
+    "phi_s": ("phi_s_lo_rad", "phi_s_hi_rad"),
+    "zeta_background": ("zeta_background_lo", "zeta_background_hi"),
+}
+FREE_PARAMS = tuple(FIT_BOUND_KEYS)
 DEFAULT_BAND = (145e3, 195e3)
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))

@@ -258,6 +258,20 @@ class SpectrumModel:
             )
         return total
 
+    def residual_spectra(self):
+        """The model residual at the detection phases ``phi_s`` and ``phi_m``.
+
+        Returns (S_xs, S_ym, S_xy, MSC, residual): the signal and meter
+        quadrature spectra, their cross-spectrum, its magnitude-squared
+        coherence and the optimal-prediction residual S_xs * (1 - MSC),
+        the sub-SQL yardstick.
+        """
+        s_xs = self.quadrature_spectrum("signal", self.phi_s)
+        s_ym = self.quadrature_spectrum("meter", self.phi_m)
+        s_xy = self.cross_spectrum()
+        msc = coherence(s_xs, s_ym, s_xy)
+        return s_xs, s_ym, s_xy, msc, residual_spectrum_theory(s_xs, msc)
+
 
 def coherence(s_xx, s_yy, s_xy):
     """Magnitude-squared coherence |S_xy|^2/(S_xx*S_yy)."""

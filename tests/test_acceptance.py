@@ -43,15 +43,6 @@ def _lobes(mask, f):
     return out
 
 
-def _theory_curves(system, freqs):
-    model = theory.SpectrumModel(system, TWO_PI * freqs)
-    s_xs = model.quadrature_spectrum("signal", model.phi_s)
-    phi_m = q.quadrature_phases(model.state, system.cavity, system.det)[1]
-    s_ym = model.quadrature_spectrum("meter", phi_m)
-    msc = theory.coherence(s_xs, s_ym, model.cross_spectrum())
-    return s_xs, msc, theory.residual_spectrum_theory(s_xs, msc)
-
-
 def _band_avg_theory(freqs, values, width=150.0):
     est = q.SpectrumEstimate(freqs, values, np.zeros_like(values), 1)
     return q.band_average(est, width)
@@ -223,7 +214,8 @@ def test_criterion_5_end_to_end(system, main_run):
     min_f = banded.frequencies[i]
     z_min = (1.0 - min_v) / min_e
     raw_f = p.res_raw.frequencies
-    s_xs, _, res_th = _theory_curves(system, raw_f)
+    model = theory.SpectrumModel(system, TWO_PI * raw_f)
+    s_xs, _, _, _, res_th = model.residual_spectra()
     th_b = _band_avg_theory(raw_f, res_th * (1.0 + 2.0 / p.n)).values[::step]
     peak_dense = banded.frequencies[
         int(np.argmax(_band_avg_theory(raw_f, s_xs).values))]
@@ -245,7 +237,7 @@ def test_criterion_6_squeezing(squeeze_system, squeeze_run, system, main_run):
     p = squeeze_run
     f = p.sum_banded.frequencies
     raw_f = p.res_raw.frequencies
-    s_xs, _, _ = _theory_curves(squeeze_system, raw_f)
+    s_xs = theory.SpectrumModel(squeeze_system, TWO_PI * raw_f).residual_spectra()[0]
     th_lobes = [(a, b) for a, b in
                 _lobes(_band_avg_theory(raw_f, s_xs).values < 1.0, f)
                 if f[b] - f[a] > 200.0]
@@ -256,7 +248,8 @@ def test_criterion_6_squeezing(squeeze_system, squeeze_run, system, main_run):
                  if f[b] - f[a] > 300.0]
     f5 = main_run.res_banded.frequencies
     raw5 = main_run.res_raw.frequencies
-    s5, _, res5 = _theory_curves(system, raw5)
+    model5 = theory.SpectrumModel(system, TWO_PI * raw5)
+    s5, _, _, _, res5 = model5.residual_spectra()
     th5 = _band_avg_theory(raw5, res5 * (1.0 + 2.0 / main_run.n))
     peak5 = f5[int(np.argmax(_band_avg_theory(raw5, s5).values))]
     hi5 = [(a, b) for a, b in _lobes(th5.values < 1.0, f5) if f5[a] > peak5][0]

@@ -212,6 +212,21 @@ class TestFullModel:
         width = below.max() - below.min()
         assert 0.5e3 < width < 3e3  # of order 1.5 kHz
 
+    def test_residual_spectra_is_the_hand_recipe(self, system):
+        w = theory.default_omega_grid(system, n_points=512)
+        squeeze = q.reference_defaults(detuning_kappa=-0.019, signal_phase_rad=-41.5e-3)
+        for sys_ in (system, system.vacuum_only(), squeeze):
+            model = theory.SpectrumModel(sys_, w)
+            s_xs = model.quadrature_spectrum("signal", model.phi_s)
+            s_ym = model.quadrature_spectrum("meter", _meter_phase(sys_, model))
+            s_xy = model.cross_spectrum()
+            msc = theory.coherence(s_xs, s_ym, s_xy)
+            expect = (s_xs, s_ym, s_xy, msc, theory.residual_spectrum_theory(s_xs, msc))
+            got = model.residual_spectra()
+            assert len(got) == len(expect)
+            for g, e in zip(got, expect):
+                assert np.array_equal(g, e)
+
     def test_cross_spectrum_hermitian_symmetry(self, system):
         w = np.linspace(0.9, 1.1, 64) * system.mech.omega_m
         model_pos = theory.SpectrumModel(system, w)
