@@ -8,6 +8,14 @@ expectation at or above the true optimal residual.  The halves are equal:
 with an odd number of kept segments the last one is left out of the
 residual (``n_averages`` is the even count used), while power spectra of
 the same segment set average all of them.
+
+For complex-Gaussian DFTs, weights fitted on one half of N segments
+(N = ``n_averages``) and evaluated on the other give an expected residual
+of S_opt * N / (N - 2k) for k predictors, by the complex Wishart mean
+(Goodman, Ann. Math. Stat. 34, 152 (1963)): N / (N - 2) for
+``residual_single`` and N / (N - 4) for ``residual_two_channel``.
+Acceptance criteria 5 and 6 use 1 + 2/N, its large-N form for k = 1, with
+N = ``n_kept``.
 """
 
 from __future__ import annotations
@@ -239,15 +247,16 @@ def band_grid(config: SynthConfig, band: tuple | None):
     return freqs, inside[0], inside[-1] + 1
 
 
-def _need_dfts(seg: SegmentSet):
+def _dfts(seg: SegmentSet, *channels: str) -> list:
+    """The band DFTs of ``channels``; raises before ``transform``."""
     if seg.dfts is None:
         raise ConfigError("call transform() before spectral estimation")
+    return [seg.dfts[c] for c in channels]
 
 
 def power_spectrum(seg: SegmentSet, channel: str) -> SpectrumEstimate:
     """Mean of per-segment periodograms with its standard error."""
-    _need_dfts(seg)
-    f = seg.dfts[channel]
+    (f,) = _dfts(seg, channel)
     n = f.shape[0]
     length = seg.segment_length
     periodograms = np.abs(f) ** 2 / length
@@ -264,11 +273,26 @@ def _halves(n: int):
     return idx[::2], idx[1::2]
 
 
-def _alpha_single(x, y):
-    den = np.sum(np.abs(y) ** 2, axis=0)
-    if np.any(den == 0):
+# two predictors are (nearly) linearly dependent where their 2x2
+# determinant falls below _DET_FLOOR of s11*s22
+_DET_FLOOR = 1e-10
+
+
+def _weights(x, preds):
+    """Per-bin least-squares weights of x on one or two predictor DFTs."""
+    power = [np.sum(np.abs(y) ** 2, axis=0) for y in preds]
+    if any(np.any(s == 0) for s in power):
         raise StatisticsError("predictor channel has zero power")
-    return np.sum(x * np.conj(y), axis=0) / den
+    if len(preds) == 1:
+        return (np.sum(x * np.conj(preds[0]), axis=0) / power[0],)
+    (y1, y2), (s11, s22) = preds, power
+    s12 = np.sum(y1 * np.conj(y2), axis=0)
+    det = s11 * s22 - np.abs(s12) ** 2
+    if np.any(det < _DET_FLOOR * (s11 * s22)):
+        raise StatisticsError("predictor channels are (nearly) linearly dependent")
+    b1 = np.sum(x * np.conj(y1), axis=0)
+    b2 = np.sum(x * np.conj(y2), axis=0)
+    return ((b1 * s22 - b2 * np.conj(s12)) / det, (b2 * s11 - b1 * s12) / det)
 
 
 def _residual_eval(x, preds, alphas, length):
@@ -278,34 +302,30 @@ def _residual_eval(x, preds, alphas, length):
     return np.abs(r) ** 2 / length
 
 
-def _assemble_residual(seg, x, preds, alpha_solver):
-    _need_dfts(seg)
+def _split_residual(seg, x_channel, *predictors):
+    """Residual of x_channel after prediction from the predictor channels."""
+    x, *preds = _dfts(seg, x_channel, *predictors)
     n = x.shape[0]
     if n < 4:
         raise StatisticsError(f"need >= 4 segments for the split estimator, have {n}")
     odd, even = _halves(n)
     length = seg.segment_length
-    alpha_odd = alpha_solver([p[odd] for p in preds], x[odd])
-    alpha_even = alpha_solver([p[even] for p in preds], x[even])
+    alpha_odd = _weights(x[odd], [p[odd] for p in preds])
+    alpha_even = _weights(x[even], [p[even] for p in preds])
     # evaluate each alpha on the opposite half
     s_even = _residual_eval(x[even], [p[even] for p in preds], alpha_odd, length)
     s_odd = _residual_eval(x[odd], [p[odd] for p in preds], alpha_even, length)
     per_segment = np.concatenate([s_odd, s_even], axis=0)
-    values = per_segment.mean(axis=0)
     m = per_segment.shape[0]
-    stderr = per_segment.std(axis=0, ddof=1) / np.sqrt(m)
-    halves_vals = (s_odd.mean(axis=0), s_even.mean(axis=0))
-    halves_err = (
-        s_odd.std(axis=0, ddof=1) / np.sqrt(len(odd)),
-        s_even.std(axis=0, ddof=1) / np.sqrt(len(even)),
-    )
     return ResidualEstimate(
         frequencies=seg.frequencies,
-        values=values,
-        stderr=stderr,
+        values=per_segment.mean(axis=0),
+        stderr=per_segment.std(axis=0, ddof=1) / np.sqrt(m),
         n_averages=m,
-        half_values=halves_vals,
-        half_stderr=halves_err,
+        half_values=(s_odd.mean(axis=0), s_even.mean(axis=0)),
+        half_stderr=tuple(
+            s.std(axis=0, ddof=1) / np.sqrt(len(s)) for s in (s_odd, s_even)
+        ),
     )
 
 
@@ -317,17 +337,7 @@ def residual_single(
     With an odd number of kept segments the last one is left out, so
     ``n_averages`` is ``n_kept - n_kept % 2``.
     """
-    _need_dfts(seg)
-
-    def solver(preds, x):
-        return (_alpha_single(x, preds[0]),)
-
-    return _assemble_residual(seg, seg.dfts[x_channel], [seg.dfts[y_channel]], solver)
-
-
-# the two predictors of ``residual_two_channel`` are (nearly) linearly
-# dependent where their 2x2 determinant falls below _DET_FLOOR of s11*s22
-_DET_FLOOR = 1e-10
+    return _split_residual(seg, x_channel, y_channel)
 
 
 def residual_two_channel(
@@ -342,40 +352,14 @@ def residual_two_channel(
     With an odd number of kept segments the last one is left out, so
     ``n_averages`` is ``n_kept - n_kept % 2``.
     """
-    _need_dfts(seg)
-
-    def solver(preds, x):
-        y1, y2 = preds
-        s11 = np.sum(np.abs(y1) ** 2, axis=0)
-        s22 = np.sum(np.abs(y2) ** 2, axis=0)
-        s12 = np.sum(y1 * np.conj(y2), axis=0)
-        det = s11 * s22 - np.abs(s12) ** 2
-        scale = s11 * s22
-        if np.any(det < _DET_FLOOR * scale):
-            raise StatisticsError(
-                "predictor channels are (nearly) linearly dependent"
-            )
-        b1 = np.sum(x * np.conj(y1), axis=0)
-        b2 = np.sum(x * np.conj(y2), axis=0)
-        a1 = (b1 * s22 - b2 * np.conj(s12)) / det
-        a2 = (b2 * s11 - b1 * s12) / det
-        return (a1, a2)
-
-    return _assemble_residual(
-        seg,
-        seg.dfts[x_channel],
-        [seg.dfts[y1_channel], seg.dfts[y2_channel]],
-        solver,
-    )
+    return _split_residual(seg, x_channel, y1_channel, y2_channel)
 
 
 def msc_estimate(
     seg: SegmentSet, x_channel: str = "sum", y_channel: str = "meter"
 ) -> SpectrumEstimate:
     """Magnitude-squared coherence per bin, in [0, 1] by construction."""
-    _need_dfts(seg)
-    x = seg.dfts[x_channel]
-    y = seg.dfts[y_channel]
+    x, y = _dfts(seg, x_channel, y_channel)
     n = x.shape[0]
     if n < 2:
         raise StatisticsError("MSC needs at least 2 segments")
@@ -515,7 +499,9 @@ def band_average(
 
     The result carries the belt's normal quantile ``belt_z``, so its belt and
     any copy's is ``values -+ belt_z * stderr``.  ``banding`` holds the
-    rules on ``band_width_hz`` and ``confidence``.
+    rules on ``band_width_hz`` and ``confidence``.  With an even bin count
+    n the value at bin k averages bins k - n/2 ... k + n/2 - 1, so it is
+    labelled half a bin above the centre of its band.
     """
     n_bins, z = banding(band_width_hz, est.frequencies, confidence)
     kernel = np.ones(n_bins) / n_bins

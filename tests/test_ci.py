@@ -6,6 +6,7 @@ test needs no YAML parser.
 
 import os
 import re
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +38,12 @@ def test_every_check_step_calls_ci_script():
 
 def test_ci_script_is_executable():
     assert os.access(ROOT / "tools" / "ci.sh", os.X_OK)
+
+
+def test_against_without_revision_prints_usage(tmp_path):
+    run = subprocess.run(
+        [str(ROOT / "tools" / "ci.sh"), "against"],
+        capture_output=True, text=True, env={**os.environ, "RUNNER_TEMP": str(tmp_path)},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("usage: tools/ci.sh")

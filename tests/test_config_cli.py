@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -551,6 +552,22 @@ class TestCliErrorFamilies:
         assert cli.main([command, str(path), "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 4
         assert "no positive SQL reference" in capsys.readouterr().err
+
+    def test_zero_power_predictor_exit_4(self, small_qnd, tmp_path, capsys):
+        # a zero meter channel, and so a zero meter squared, predicts nothing
+        ds = q.read_dataset(small_qnd)
+        path = tmp_path / "no_meter.qnd"
+        q.write_dataset(dataclasses.replace(ds, meter=np.zeros_like(ds.meter)), path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["estimate", str(path), "--config", str(cfg),
+                           "--channels", "meter,meter_squared",
+                           "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert "zero power" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_floored_fit_target_exit_4(self, tmp_path, capsys):
         # electronic noise far above the signal: its subtraction floors

@@ -365,6 +365,31 @@ class TestMsc:
         assert np.mean(msc.values[1:]) == pytest.approx(1.0 / 32.0, rel=0.3)
 
 
+class TestEstimatorErrors:
+    @pytest.mark.parametrize(
+        "residual", [q.residual_single, q.residual_two_channel],
+        ids=["single", "two-channel"],
+    )
+    def test_zero_power_predictor(self, residual):
+        # a zero meter channel, and so a zero meter squared, predicts nothing
+        ds = white_dataset()
+        ds = dataclasses.replace(ds, meter=np.zeros_like(ds.meter))
+        seg = q.transform(q.segment_and_select(ds, peak_limit=1e9, rms_limit=1e9))
+        with pytest.raises(StatisticsError, match="zero power"):
+            residual(seg)
+
+    @pytest.mark.parametrize("estimator", [
+        lambda seg: q.power_spectrum(seg, "sum"),
+        q.residual_single,
+        q.residual_two_channel,
+        q.msc_estimate,
+    ], ids=["power_spectrum", "residual_single", "residual_two_channel", "msc_estimate"])
+    def test_untransformed_set(self, estimator):
+        seg = q.segment_and_select(white_dataset(), peak_limit=1e9, rms_limit=1e9)
+        with pytest.raises(ConfigError, match="call transform"):
+            estimator(seg)
+
+
 class TestShotCalibration:
     def _flat_estimate(self, level=2.0, slope=0.0):
         f = np.arange(150e3, 185e3, 100.0)

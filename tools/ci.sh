@@ -2,15 +2,22 @@
 # The tier-1 CI checks, one step per argument:
 #
 #     tools/ci.sh [tests|smoke|traced|outputs|all]
+#     tools/ci.sh against REV
 #
 # ``all``, the default, runs the four steps in that order and stops at the
-# first that fails.  Run from any directory; logs and digest files go to
+# first that fails.  ``against REV`` compares this checkout's outputs with
+# those of the git revision REV; it is no CI step, since a change may move
+# outputs on purpose.  Run from any directory; logs and digest files go to
 # $RUNNER_TEMP, or to a fresh temporary directory when it is unset.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 mkdir -p "$tmp"
+
+usage() {
+    echo "usage: tools/ci.sh [tests|smoke|traced|outputs|all] | tools/ci.sh against REV" >&2
+}
 
 step() {
     case "$1" in
@@ -45,6 +52,21 @@ step() {
         python3 tools/outputs.py --out "$tmp/outputs-1"
         python3 tools/outputs.py --out "$tmp/outputs-2" --against "$tmp/outputs-1"
         ;;
+    against)
+        # the digest matrix on REV, extracted by git archive into a fresh
+        # directory, then on the checkout; --against prints what differs
+        # and exits 1 if anything does
+        if [ -z "${2:-}" ]; then
+            usage
+            return 2
+        fi
+        local dir
+        dir="$(mktemp -d "$tmp/against.XXXXXX")"
+        mkdir "$dir/tree"
+        git archive "$2" | tar -x -C "$dir/tree"
+        python3 tools/outputs.py --src "$dir/tree" --out "$dir/rev"
+        python3 tools/outputs.py --out "$dir/checkout" --against "$dir/rev"
+        ;;
     all)
         step tests
         step smoke
@@ -52,10 +74,10 @@ step() {
         step outputs
         ;;
     *)
-        echo "usage: tools/ci.sh [tests|smoke|traced|outputs|all]" >&2
+        usage
         return 2
         ;;
     esac
 }
 
-step "${1:-all}"
+step "${1:-all}" "${2:-}"
