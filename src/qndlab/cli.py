@@ -166,9 +166,7 @@ def cmd_budget(cfg: RunConfig, args) -> int:
     omega = theory.default_omega_grid(system)
     budget = theory.noise_budget(system, "signal", omega)
     header = ["frequency_hz"] + list(budget.contributions) + ["total"]
-    columns = [omega / (2 * np.pi)]
-    columns += [budget.contributions[k] for k in budget.contributions]
-    columns += [budget.total]
+    columns = [omega / (2 * np.pi), *budget.contributions.values(), budget.total]
     path = os.path.join(args.out, "budget_signal.csv")
     _write_csv(path, header, columns, config_hash=system.config_hash())
     print(f"wrote {path}")
@@ -210,12 +208,13 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
     banded = estimation.band_average(res_n, width, confidence)
     diag = estimation.split_consistency(res)
     out = args.out
-    estimation.write_spectrum_csv(
-        analysis.spectrum_sum, os.path.join(out, "spectrum_sum.csv")
-    )
-    estimation.write_spectrum_csv(res_n, os.path.join(out, "residual.csv"))
-    estimation.write_spectrum_csv(banded, os.path.join(out, "residual_banded.csv"))
-    estimation.write_spectrum_csv(msc, os.path.join(out, "msc.csv"))
+    for name, estimate in (
+        ("spectrum_sum", analysis.spectrum_sum),
+        ("residual", res_n),
+        ("residual_banded", banded),
+        ("msc", msc),
+    ):
+        estimation.write_spectrum_csv(estimate, os.path.join(out, f"{name}.csv"))
     _write_csv(
         os.path.join(out, "split_consistency.csv"),
         ["frequency_hz", "normalized_difference"],

@@ -15,11 +15,10 @@ import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 from .fitting import FIT_BOUND_KEYS
 from .params import (
+    TWO_PI,
     CavityParams,
     DetectionParams,
     DriveParams,
@@ -29,8 +28,6 @@ from .params import (
     c_light,
 )
 from .synth import SynthConfig
-
-TWO_PI = 2.0 * np.pi
 
 DEFAULTS = {
     "system": {

@@ -125,29 +125,27 @@ def segment_and_select(
 
     One pass on the thread pool reads all three channels of every segment,
     one segment at a time: it takes the sum channel's statistics and checks
-    every sample, rejected segments included, for finiteness.  A
-    non-finite sample raises ``FormatError`` naming the first such channel.
-    The returned set holds ``ds`` and ``kept_mask``, no samples.
+    every sample, rejected segments included, for finiteness.  A non-finite
+    sample raises ``FormatError`` (exit 3) naming the channel of the
+    lowest-numbered segment that holds one.  The returned set holds ``ds``
+    and ``kept_mask``, no samples.
     """
     if peak_limit <= 0 or rms_limit <= 0:
         raise ConfigError("selection limits must be positive")
     n_seg = ds.config.n_segments
     peaks = np.empty(n_seg)
     rms = np.empty(n_seg)
-    finite = np.empty((len(CHANNELS), n_seg), dtype=bool)
 
     def stats(i):
-        for c, name in enumerate(CHANNELS):
+        for name in CHANNELS:
             x = ds.segment(name, i)
-            finite[c, i] = np.all(np.isfinite(x))
-            if name == "sum" and finite[c, i]:  # else selection raises below
+            if not np.all(np.isfinite(x)):
+                raise FormatError(f"payload: non-finite samples in {name} channel")
+            if name == "sum":
                 peaks[i] = max(x.max(), -x.min())  # max |x| without an |x| copy
                 rms[i] = x.std()
 
-    synth._on_pool(stats, n_seg)
-    for name, ok in zip(CHANNELS, finite):
-        if not ok.all():
-            raise FormatError(f"payload: non-finite samples in {name} channel")
+    synth._on_pool(stats, n_seg)  # re-raises the lowest index's error
     kept = (peaks <= peak_limit) & (rms <= rms_limit)
     if kept.sum() < 4:
         raise StatisticsError(
@@ -202,10 +200,10 @@ def transform(
         for name in CHANNELS:
             x = seg.source.segment(name, rows[k])
             band_dft(x, buf, full, dfts[name][k])
-        # x is still the meter segment, the last of the file's CHANNELS
-        sq = np.multiply(x, x, out=buf)
-        sq -= sq.mean()
-        band_dft(sq, buf, full, dfts["meter_squared"][k])
+            if name == "meter":
+                sq = np.multiply(x, x, out=buf)
+                sq -= sq.mean()
+                band_dft(sq, buf, full, dfts["meter_squared"][k])
 
     synth._on_pool(run, len(rows))
     return SegmentSet(

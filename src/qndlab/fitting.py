@@ -524,13 +524,9 @@ def fit(problem: FitProblem) -> FitResult:
     rng = np.random.default_rng(problem.seed)
     starts = [0.5 * (lo + hi)]
     starts += [rng.uniform(lo, hi) for _ in range(problem.n_multistarts - 1)]
-    points, start_losses, converged = [], [], []
-    for x0 in starts:
-        point, start_loss, ok = profile.search(dict(zip(names, x0)), det_bounds, shared)
-        points.append(point)
-        start_losses.append(start_loss)
-        converged.append(ok)
-    if not any(converged):
+    # one (point, start loss, converged) record per start
+    runs = [profile.search(dict(zip(names, x0)), det_bounds, shared) for x0 in starts]
+    if not any(ok for _, _, ok in runs):
         raise ModelError(
             f"no multistart converged within {_MAX_EVALS} model builds"
         )
@@ -543,9 +539,9 @@ def fit(problem: FitProblem) -> FitResult:
         }
         return np.array([values[n] for n in names])
 
-    order = sorted(range(len(points)), key=lambda i: (points[i].loss, i))
-    # each search keeps its start's loss as a ceiling: best <= min(start_losses)
-    best = points[order[0]]
+    order = sorted(range(len(runs)), key=lambda i: (runs[i][0].loss, i))
+    # each search keeps its start's loss as a ceiling: best <= every start loss
+    best, _, best_converged = runs[order[0]]
     theta = theta_of(best)
     det_step = None if det_bounds is None else 1e-4 * (det_bounds[1] - det_bounds[0])
     sigma, corr = _sigma_and_correlation(
@@ -553,7 +549,7 @@ def fit(problem: FitProblem) -> FitResult:
     )
     degenerate = False
     for i in order[1:]:
-        p = points[i]
+        p = runs[i][0]
         if best.loss < _EXACT_LOSS:
             close = p.loss < _EXACT_LOSS
         else:
@@ -568,10 +564,10 @@ def fit(problem: FitProblem) -> FitResult:
         loss=float(best.loss),
         n_evals=profile.builds,
         degenerate=degenerate,
-        start_losses=start_losses,
+        start_losses=[start_loss for _, start_loss, _ in runs],
         message=(
             "profile search converged"
-            if converged[order[0]]
+            if best_converged
             else f"best start stopped at {_MAX_EVALS} model builds"
         ),
         correlation={

@@ -324,10 +324,9 @@ def _segment(cfg, tables, psd, rng, out=None):
 def _irfft(f, length, out=None):
     """The real series of half spectrum ``f``, into ``out`` if given.
 
-    Zeroes ``f``'s DC bin and makes its Nyquist bin real first.
+    Zeroes ``f``'s DC bin first; ``irfft`` reads only the Nyquist bin's real part.
     """
     f[0] = 0.0
-    f[-1] = f[-1].real
     return np.fft.irfft(f, n=length, out=out)
 
 

@@ -103,7 +103,8 @@ def fixed_phase_output_spectrum(params: SimpleModelParams, phi, omega):
     chi_opt = params.chi_opt(omega)
     # Coefficient of the amplitude input in the rotated quadrature; the
     # common exp(2i*phi_opt) prefactor drops from the moduli.
-    amp = np.cos(phi) + 4.0 * params.gamma_ba * np.abs(chi_opt) ** 2 * chi * np.sin(phi)
+    back_action = 4.0 * params.gamma_ba * np.abs(chi_opt) ** 2
+    amp = np.cos(phi) + back_action * chi * np.sin(phi)
     thermal = (
         params.gamma_ba
         * np.abs(chi_opt) ** 2
@@ -113,9 +114,7 @@ def fixed_phase_output_spectrum(params: SimpleModelParams, phi, omega):
         * np.abs(chi) ** 2
     )
     # Symmetrize over +/- omega: chi(-w) = conj(chi(w)).
-    amp_neg = np.cos(phi) + 4.0 * params.gamma_ba * np.abs(chi_opt) ** 2 * np.conj(
-        chi
-    ) * np.sin(phi)
+    amp_neg = np.cos(phi) + back_action * np.conj(chi) * np.sin(phi)
     vac = 0.5 * (np.abs(amp) ** 2 + np.abs(amp_neg) ** 2) + np.sin(phi) ** 2
     return vac + thermal
 

@@ -47,3 +47,12 @@ def test_against_without_revision_prints_usage(tmp_path):
     )
     assert run.returncode == 2
     assert run.stderr.startswith("usage: tools/ci.sh")
+
+
+def test_unknown_step_prints_usage(tmp_path):
+    run = subprocess.run(
+        [str(ROOT / "tools" / "ci.sh"), "bogus"],
+        capture_output=True, text=True, env={**os.environ, "RUNNER_TEMP": str(tmp_path)},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("usage: tools/ci.sh")

@@ -12,7 +12,7 @@ from scipy import special
 
 import qndlab as q
 from qndlab import estimation, synth
-from qndlab.errors import ConfigError, StatisticsError
+from qndlab.errors import ConfigError, FormatError, StatisticsError
 from conftest import pool_workers, white_dataset
 
 
@@ -97,6 +97,16 @@ class TestSelection:
     def test_bad_limits(self, small_dataset):
         with pytest.raises(ConfigError):
             q.segment_and_select(small_dataset, peak_limit=0.0)
+
+    def test_non_finite_names_lowest_segment_channel(self):
+        # a NaN in the meter channel of segment 2 and one in the sum channel
+        # of segment 9: the error names the channel of the lower segment
+        ds = white_dataset()
+        length = ds.config.segment_length
+        ds.meter[2 * length + 5] = np.nan
+        ds.sum[9 * length + 5] = np.nan
+        with pytest.raises(FormatError, match="meter channel"):
+            q.segment_and_select(ds, peak_limit=1e9, rms_limit=1e9)
 
 
 class TestTransform:

@@ -477,6 +477,20 @@ class TestDatasetIO:
         for name in ("sum", "difference", "meter"):
             assert back.channel(name).flags.writeable
 
+    def test_segment_index_out_of_range(self, small_dataset, tmp_path):
+        n_seg = small_dataset.config.n_segments
+        path = tmp_path / "ds.qnd"
+        q.write_dataset(small_dataset, path)
+        with q.QndFile(path) as qnd:
+            for ds in (small_dataset, qnd):
+                for i in (-1, n_seg):
+                    with pytest.raises(IndexError):
+                        ds.segment("sum", i)
+
+    def test_unknown_channel(self, small_dataset):
+        with pytest.raises(KeyError):
+            small_dataset.channel("bogus")
+
     def test_header_lists_every_field(self, small_dataset, tmp_path):
         path = tmp_path / "ds.qnd"
         q.write_dataset(small_dataset, path)
