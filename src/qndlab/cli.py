@@ -58,15 +58,6 @@ def _minimum_window(frequencies):
     return inside
 
 
-def _write_csv(path, header, columns, config_hash=None):
-    with open(path, "w") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def _system(cfg: RunConfig, vacuum_only: bool):
     system = cfg.system()
     return system.vacuum_only() if vacuum_only else system
@@ -128,7 +119,7 @@ def cmd_theory(cfg: RunConfig, args) -> int:
             theory.min_quadrature_spectrum(sp, w),
             theory.fixed_phase_output_spectrum(sp, 0.1, w),
         ]
-    _write_csv(
+    estimation.write_csv(
         os.path.join(out, "simple_model.csv"),
         [
             "omega_over_omega_m",
@@ -143,7 +134,7 @@ def cmd_theory(cfg: RunConfig, args) -> int:
     omega = theory.default_omega_grid(system)
     model = theory.SpectrumModel(system, omega)
     s_xs, s_ym, s_xy, msc, res = model.residual_spectra()
-    _write_csv(
+    estimation.write_csv(
         os.path.join(out, "full_model.csv"),
         [
             "frequency_hz",
@@ -168,7 +159,7 @@ def cmd_budget(cfg: RunConfig, args) -> int:
     header = ["frequency_hz"] + list(budget.contributions) + ["total"]
     columns = [omega / (2 * np.pi), *budget.contributions.values(), budget.total]
     path = os.path.join(args.out, "budget_signal.csv")
-    _write_csv(path, header, columns, config_hash=system.config_hash())
+    estimation.write_csv(path, header, columns, config_hash=system.config_hash())
     print(f"wrote {path}")
     return 0
 
@@ -215,7 +206,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         ("msc", msc),
     ):
         estimation.write_spectrum_csv(estimate, os.path.join(out, f"{name}.csv"))
-    _write_csv(
+    estimation.write_csv(
         os.path.join(out, "split_consistency.csv"),
         ["frequency_hz", "normalized_difference"],
         [diag.frequencies, diag.values],
@@ -265,7 +256,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         fh.write(text)
     fitted_system = fitting.with_params(system, result.params)
     model = theory.SpectrumModel(fitted_system, 2 * np.pi * p_sum.frequencies)
-    _write_csv(
+    estimation.write_csv(
         os.path.join(args.out, "fit_curves.csv"),
         ["frequency_hz", "target", "model"],
         [

@@ -20,7 +20,6 @@ N = ``n_kept``.
 
 from __future__ import annotations
 
-import csv
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -543,14 +542,21 @@ def split_consistency(res: ResidualEstimate) -> SplitDiagnostic:
     )
 
 
+def write_csv(path, header, columns, config_hash=None) -> None:
+    """The one CSV writer: LF line ends and ``repr`` floats, which read back exactly."""
+    with open(path, "w", newline="\n") as fh:
+        if config_hash is not None:
+            fh.write(f"# config_hash={config_hash}\n")
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 def write_spectrum_csv(est: SpectrumEstimate, path) -> None:
     """CSV export: frequency_hz, value, stderr[, belt_lo, belt_hi]."""
-    head, columns = ["frequency_hz", "value", "stderr"], [est.values, est.stderr]
+    head = ["frequency_hz", "value", "stderr"]
+    columns = [est.frequencies, est.values, est.stderr]
     if est.belt_z is not None:
         head += ["belt_lo", "belt_hi"]
         columns += [est.belt_lo, est.belt_hi]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(head)
-        for f, *row in zip(est.frequencies, *columns):
-            writer.writerow([f"{f:.6f}", *(repr(float(v)) for v in row)])
+    write_csv(path, head, columns)

@@ -461,11 +461,8 @@ def synthesize(system: SystemParams, cfg: SynthConfig) -> DataSet:
     chans = {name: np.zeros(n_total) for name in CHANNELS}
 
     def put(name, start, x, add):
-        row = chans[name][start : start + len(x)]
-        if add:
-            row += x
-        else:
-            row[:] = x
+        # only cross-faded pieces get here, and a first-pass piece is 0 + a
+        chans[name][start : start + len(x)] += x
 
     _synthesize_into(cfg, port_tables, put, chans)
     return DataSet(**chans, config=cfg, config_hash=system.config_hash())
@@ -663,6 +660,8 @@ class QndFile:
         The thread's next call overwrites the returned array.
         """
         _check_segment(self.config, i)
+        if name not in CHANNELS:
+            raise KeyError(name)
         buf = getattr(self._local, "buf", None)
         if buf is None:
             buf = self._local.buf = np.empty(self.config.segment_length, dtype="<f8")

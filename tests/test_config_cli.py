@@ -457,6 +457,23 @@ class TestCliErrorFamilies:
         assert cli.main(["theory", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command, text, match", [
+        ("synth", "[synth]\nn_segments = abc\n", "not an integer"),
+        ("synth", "[synth]\ncontinuous = maybe\n", "not a boolean"),
+        ("theory", "[zeta]\npeaks = 1:2\n", "expected center:width:amplitude"),
+        ("theory", "n_segments = 4\n", "cannot parse config"),
+    ], ids=["integer", "boolean", "peaks", "no-section"])
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, command, text, match):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert match in capsys.readouterr().err
+
+    def test_no_command_prints_help_exit_2(self, capsys):
+        assert cli.main([]) == 2
+        assert "usage: qndlab" in capsys.readouterr().out
+
     def test_missing_dataset_exit_3(self, tmp_path):
         rc = cli.main(["estimate", str(tmp_path / "absent.qnd"),
                        "--out", str(tmp_path)])
@@ -782,6 +799,18 @@ class TestDatasetMatchesConfig:
         rewrite_qnd(small_qnd, path, version, edit)
         assert path.read_bytes() != small_qnd.read_bytes()
         assert self._run("estimate", path, SMALL_CFG, tmp_path) == 3
+
+    @pytest.mark.parametrize("cut, match", [
+        (lambda raw: raw[: raw.index(b"seed=") + 3],
+         "unexpected end of file inside header"),
+        (lambda raw: raw.replace(b"seed=", b"junk\nseed=", 1),
+         "malformed header line"),
+    ], ids=["cut-in-header", "no-equals"])
+    def test_broken_header_exit_3(self, small_qnd, tmp_path, capsys, cut, match):
+        path = tmp_path / "bad.qnd"
+        path.write_bytes(cut(small_qnd.read_bytes()))
+        assert self._run("estimate", path, SMALL_CFG, tmp_path) == 3
+        assert match in capsys.readouterr().err
 
 
 # Runs `python -m qndlab.cli` (runpy is what -m uses) for synth and then

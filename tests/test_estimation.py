@@ -629,3 +629,22 @@ class TestCsvExport:
         banded = q.band_average(est, 1.0)
         q.write_spectrum_csv(banded, path)
         assert path.read_text().splitlines()[0].endswith("belt_lo,belt_hi")
+
+    def test_one_dialect_reads_back_exactly(self, tmp_path):
+        # rfft frequencies have more digits than 6 decimals keep, and the
+        # file is written as the other CSVs are: LF line ends, repr floats
+        f = np.fft.rfftfreq(2**16, 1 / 5e6)[1000:1200]
+        rng = np.random.default_rng(4)
+        est = q.SpectrumEstimate(f, rng.uniform(0.5, 2, len(f)),
+                                 rng.uniform(0.01, 0.1, len(f)), 32)
+        banded = q.band_average(est, 300.0, confidence=0.9)
+        path = tmp_path / "banded.csv"
+        q.write_spectrum_csv(banded, path)
+        assert b"\r" not in path.read_bytes()
+        rows = _read_csv_rows(path)
+        assert rows[0] == ["frequency_hz", "value", "stderr", "belt_lo", "belt_hi"]
+        columns = [banded.frequencies, banded.values, banded.stderr,
+                   banded.belt_lo, banded.belt_hi]
+        assert [[float(v) for v in r] for r in rows[1:]] == [
+            list(row) for row in zip(*columns)
+        ]

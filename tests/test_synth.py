@@ -51,6 +51,10 @@ class TestSynthConfig:
         with pytest.raises(ConfigError, match=match):
             q.SynthConfig(**{field: value})
 
+    def test_negative_segment_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_segments must be non-negative"):
+            q.SynthConfig(n_segments=-1)
+
     def test_spike_rate_bound_is_per_piece(self):
         # the bound is on the bursts a piece expects, so it scales with
         # the piece duration
@@ -490,6 +494,49 @@ class TestDatasetIO:
     def test_unknown_channel(self, small_dataset):
         with pytest.raises(KeyError):
             small_dataset.channel("bogus")
+
+    def test_unknown_channel_in_file(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.qnd"
+        q.write_dataset(small_dataset, path)
+        with q.QndFile(path) as qnd, pytest.raises(KeyError):
+            qnd.segment("bogus", 0)
+
+    def test_short_channel_rejected(self, small_dataset):
+        with pytest.raises(ConfigError, match="meter channel holds 10 samples"):
+            dataclasses.replace(small_dataset, meter=np.zeros(10))
+
+    def test_non_finite_payload(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.qnd"
+        q.write_dataset(small_dataset, path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"\n\n") + 2 + 8 * 3  # the fourth sum sample
+        raw[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(raw)
+        with pytest.raises(FormatError,
+                           match="payload: non-finite samples in sum channel"):
+            q.read_dataset(path)
+
+    def test_non_finite_write_leaves_no_file(self, small_dataset, tmp_path):
+        ds = dataclasses.replace(small_dataset, sum=small_dataset.sum.copy())
+        ds.sum[5] = np.inf  # after the DataSet checked its samples
+        with pytest.raises(ConfigError, match="non-finite samples in sum channel"):
+            q.write_dataset(ds, tmp_path / "bad.qnd")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_synthesis_leaves_no_file(self, system, tmp_path,
+                                                 monkeypatch):
+        piece = synth._piece
+
+        def nan_piece(cfg, tables, psd, seq):
+            x_sum, x_diff, y_m = piece(cfg, tables, psd, seq)
+            x_sum[7] = np.nan
+            return x_sum, x_diff, y_m
+
+        monkeypatch.setattr(synth, "_piece", nan_piece)
+        cfg = q.SynthConfig(segment_length=2**12, n_segments=4, seed=2)
+        with pytest.raises(ConfigError, match="non-finite samples in sum channel"):
+            q.synthesize_file(system, cfg, tmp_path / "bad.qnd")
+        assert list(tmp_path.iterdir()) == []
 
     def test_header_lists_every_field(self, small_dataset, tmp_path):
         path = tmp_path / "ds.qnd"
