@@ -252,17 +252,19 @@ def _dfts(seg: SegmentSet, *channels: str) -> list:
     return [seg.dfts[c] for c in channels]
 
 
+def _average(per_segment):
+    """Mean over the rows and its stderr, sd / sqrt(rows), zeros for one row."""
+    n, mean = per_segment.shape[0], per_segment.mean(axis=0)
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    return mean, per_segment.std(axis=0, ddof=1) / np.sqrt(n)
+
+
 def power_spectrum(seg: SegmentSet, channel: str) -> SpectrumEstimate:
     """Mean of per-segment periodograms with its standard error."""
     (f,) = _dfts(seg, channel)
-    n = f.shape[0]
-    length = seg.segment_length
-    periodograms = np.abs(f) ** 2 / length
-    values = periodograms.mean(axis=0)
-    stderr = (
-        periodograms.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(values)
-    )
-    return SpectrumEstimate(seg.frequencies, values, stderr, n)
+    values, stderr = _average(np.abs(f) ** 2 / seg.segment_length)
+    return SpectrumEstimate(seg.frequencies, values, stderr, f.shape[0])
 
 
 def _halves(n: int):
@@ -313,17 +315,10 @@ def _split_residual(seg, x_channel, *predictors):
     # evaluate each alpha on the opposite half
     s_even = _residual_eval(x[even], [p[even] for p in preds], alpha_odd, length)
     s_odd = _residual_eval(x[odd], [p[odd] for p in preds], alpha_even, length)
-    per_segment = np.concatenate([s_odd, s_even], axis=0)
-    m = per_segment.shape[0]
+    half_values, half_stderr = zip(_average(s_odd), _average(s_even))
     return ResidualEstimate(
-        frequencies=seg.frequencies,
-        values=per_segment.mean(axis=0),
-        stderr=per_segment.std(axis=0, ddof=1) / np.sqrt(m),
-        n_averages=m,
-        half_values=(s_odd.mean(axis=0), s_even.mean(axis=0)),
-        half_stderr=tuple(
-            s.std(axis=0, ddof=1) / np.sqrt(len(s)) for s in (s_odd, s_even)
-        ),
+        seg.frequencies, *_average(np.concatenate([s_odd, s_even])), 2 * len(odd),
+        half_values=half_values, half_stderr=half_stderr,
     )
 
 

@@ -90,6 +90,7 @@ class FitProblem:
     def __post_init__(self):
         if not self.free_params:
             raise ConfigError("at least one free parameter is required")
+        checked = {}
         for name, bounds in self.free_params.items():
             if name not in FREE_PARAMS:
                 raise ConfigError(
@@ -104,7 +105,9 @@ class FitProblem:
                 ) from None
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ConfigError(f"bounds for {name!r} must be finite and ordered")
-        if self.free_params.get("zeta_background", (0.0, 0.0))[0] < 0:
+            checked[name] = (lo, hi)
+        object.__setattr__(self, "free_params", checked)
+        if checked.get("zeta_background", (0.0, 0.0))[0] < 0:
             raise ConfigError("bounds for 'zeta_background' must be non-negative")
         if not 1 <= self.n_multistarts <= _MAX_MULTISTARTS:
             raise ConfigError(

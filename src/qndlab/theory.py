@@ -126,12 +126,9 @@ def fixed_phase_output_spectrum(params: SimpleModelParams, phi, omega):
 ALL_SOURCES = tuple(SOURCE_GROUPS)
 
 
-def _channels(sources, *tables) -> tuple:
-    """The channels of ``sources`` that all ``tables`` list, in ``CHANNELS`` order."""
-    active = {ch for s in sources for ch in SOURCE_GROUPS[s]}
-    return tuple(
-        ch for ch in CHANNELS if ch in active and all(ch in t for t in tables)
-    )
+def _channels(sources) -> tuple:
+    """The channels of ``sources``, in ``CHANNELS`` order."""
+    return tuple(ch for ch in CHANNELS if any(ch in SOURCE_GROUPS[s] for s in sources))
 
 
 class SpectrumModel:
@@ -191,15 +188,32 @@ class SpectrumModel:
         e_m, e_p = np.exp(-1j * phi), np.exp(1j * phi)
         return a_pos * e_m + np.conj(b_neg) * e_p, a_neg * e_m + np.conj(b_pos) * e_p
 
-    def channel_contribution(self, port, channel, phi):
-        """Contribution of one input channel to the port quadrature spectrum."""
-        # a scalar coefficient is broadcast first, so every channel's
-        # moduli are taken on the grid alike
-        u_pos, u_neg = (
-            np.full(self.omega.shape, u) if np.ndim(u) == 0 else u
-            for u in self.coefficients(port, channel, phi)
-        )
-        return 0.5 * (np.abs(u_pos) ** 2 + np.abs(u_neg) ** 2) * self.psd[channel]
+    def _spectra(self, phis, sources=ALL_SOURCES) -> dict:
+        """Port spectra at the phases ``phis``, {port: phi}, from one channel walk.
+
+        {(p, p): port p's quadrature spectrum}, then, given both ports,
+        {("signal", "meter"): their cross-spectrum}; sums add in ``CHANNELS`` order.
+        """
+        out = {(port, port): np.zeros_like(self.omega) for port in phis}
+        if len(phis) == 2:
+            out["signal", "meter"] = np.zeros_like(self.omega, dtype=complex)
+        for ch in _channels(sources):
+            # a scalar coefficient is broadcast first, so every channel's
+            # moduli are taken on the grid alike
+            u = {
+                port: [np.full(self.omega.shape, c) if np.ndim(c) == 0 else c
+                       for c in self.coefficients(port, ch, phi)]
+                for port, phi in phis.items() if ch in self._table[port]
+            }
+            psd = self.psd[ch]
+            for port, (u_pos, u_neg) in u.items():
+                out[port, port] += 0.5 * (np.abs(u_pos) ** 2 + np.abs(u_neg) ** 2) * psd
+            if len(u) == 2:
+                (x_pos, x_neg), (y_pos, y_neg) = u["signal"], u["meter"]
+                out["signal", "meter"] += (
+                    0.5 * (x_pos * np.conj(y_pos) + np.conj(x_neg) * y_neg) * psd
+                )
+        return out
 
     def quadrature_spectrum(self, port, phi, sources=ALL_SOURCES):
         """Port quadrature spectrum in SQL units.
@@ -207,10 +221,7 @@ class SpectrumModel:
         ``sources`` restricts the classical + vacuum channels counted; the
         port's own detection vacuum is part of the "detection" group.
         """
-        total = np.zeros_like(self.omega)
-        for ch in _channels(sources, self._table[port]):
-            total += self.channel_contribution(port, ch, phi)
-        return total
+        return self._spectra({port: phi}, sources)[port, port]
 
     def phase_harmonics(self, port):
         """The port quadrature spectrum's dependence on phase and background.
@@ -245,17 +256,9 @@ class SpectrumModel:
 
     def cross_spectrum(self, phi_s=None, phi_m=None, sources=ALL_SOURCES):
         """Symmetrized cross-spectrum S_XsYm(omega) between the two ports."""
-        phi_s = self.phi_s if phi_s is None else phi_s
-        phi_m = self.phi_m if phi_m is None else phi_m
-        total = np.zeros_like(self.omega, dtype=complex)
-        for ch in _channels(sources, self._table["signal"], self._table["meter"]):
-            ux_pos, ux_neg = self.coefficients("signal", ch, phi_s)
-            uy_pos, uy_neg = self.coefficients("meter", ch, phi_m)
-            total += (
-                0.5 * (ux_pos * np.conj(uy_pos) + np.conj(ux_neg) * uy_neg)
-                * self.psd[ch]
-            )
-        return total
+        phis = {"signal": self.phi_s if phi_s is None else phi_s,
+                "meter": self.phi_m if phi_m is None else phi_m}
+        return self._spectra(phis, sources)["signal", "meter"]
 
     def residual_spectra(self):
         """The model residual at the detection phases ``phi_s`` and ``phi_m``.
@@ -265,9 +268,8 @@ class SpectrumModel:
         coherence and the optimal-prediction residual S_xs * (1 - MSC),
         the sub-SQL yardstick.
         """
-        s_xs = self.quadrature_spectrum("signal", self.phi_s)
-        s_ym = self.quadrature_spectrum("meter", self.phi_m)
-        s_xy = self.cross_spectrum()
+        spectra = self._spectra({"signal": self.phi_s, "meter": self.phi_m})
+        s_xs, s_ym, s_xy = spectra.values()  # in _spectra's order
         msc = coherence(s_xs, s_ym, s_xy)
         return s_xs, s_ym, s_xy, msc, residual_spectrum_theory(s_xs, msc)
 

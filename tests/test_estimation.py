@@ -4,6 +4,7 @@ estimators, coherence, calibration, subtraction, banding, diagnostics."""
 import csv
 import dataclasses
 import tracemalloc
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -247,6 +248,19 @@ class TestPowerSpectrum:
         seg = q.transform(q.segment_and_select(ds, peak_limit=1e9, rms_limit=1e9))
         est = q.power_spectrum(seg, "sum")
         np.testing.assert_allclose(est.stderr, 0.0, atol=1e-12)
+
+    def test_one_segment_has_zero_stderr(self):
+        # a one-row average has no spread to estimate: zeros, no warning
+        ds = white_dataset(1.0, 4, 2**10, 0)
+        mask = np.array([False, False, True, False])
+        seg = q.transform(q.SegmentSet(source=ds, kept_mask=mask))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = q.power_spectrum(seg, "sum")
+        assert est.n_averages == 1
+        assert np.array_equal(est.stderr, np.zeros_like(est.values))
+        x = ds.segment("sum", 2)
+        np.testing.assert_allclose(est.values, np.abs(np.fft.rfft(x)) ** 2 / len(x))
 
     def test_white_noise_level(self):
         sigma = 1.7

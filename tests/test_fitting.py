@@ -63,6 +63,20 @@ class TestProblemValidation:
         with pytest.raises(StatisticsError, match="all stderr are zero"):
             fitting.FitProblem(system, f, s, np.zeros_like(e), {"phi_s": (-0.1, 0.1)})
 
+    @pytest.mark.parametrize(
+        "name, bounds",
+        [("zeta_background", ("1e10", "1e13")), ("phi_s", ("-0.06", "-0.005"))],
+    )
+    def test_bounds_are_stored_as_checked_floats(self, system, name, bounds):
+        # number strings pass the float checks; the fit then reads floats
+        f, s, e = self._args(system)
+        prob = fitting.FitProblem(system, f, s, e, {name: bounds}, n_multistarts=1)
+        lo, hi = prob.free_params[name]
+        assert (lo, hi) == tuple(float(v) for v in bounds)
+        assert type(lo) is float and type(hi) is float
+        r = fitting.fit(prob)
+        assert lo <= r.params[name] <= hi
+
     def test_band_excludes_everything(self, system):
         f, s, e = self._args(system)
         with pytest.raises(ConfigError, match="excludes every target point"):

@@ -327,7 +327,8 @@ class TestFullModel:
             sys_c.mech.omega_m, sys_c.mech.gamma_m, gamma_ba, gamma_th, 0.0,
             kappa=cavity.kappa,
         )
-        r_actual = 1.0 / model.channel_contribution("meter", "xi", np.pi / 2.0)
+        # the thermal group is the xi channel alone
+        r_actual = 1.0 / model.quadrature_spectrum("meter", np.pi / 2.0, ("thermal",))
         res_simple = 1.0 / (1.0 + sp.cooperativity(w) / (1.0 + r_actual))
         np.testing.assert_allclose(res_simple, res_full, rtol=0.05)
 
@@ -341,11 +342,20 @@ class TestNoiseBudget:
                 budget = theory.noise_budget(sys_, port, w)
                 for source, channels in SOURCE_GROUPS.items():
                     # each group is the sum of the contributions of its
-                    # channels that reach the port, added in order, bit for bit
+                    # channels that reach the port, added in order, bit for
+                    # bit; a channel's is 0.5 (|u+|^2 + |u-|^2) psd, with a
+                    # scalar coefficient broadcast over the grid first
                     part = np.zeros_like(model.omega)
                     for ch in channels:
                         if ch in model.channels[port]:
-                            part += model.channel_contribution(port, ch, phi)
+                            u_pos, u_neg = (
+                                np.full(model.omega.shape, u)
+                                for u in model.coefficients(port, ch, phi)
+                            )
+                            part += (
+                                0.5 * (np.abs(u_pos) ** 2 + np.abs(u_neg) ** 2)
+                                * model.psd[ch]
+                            )
                     assert np.array_equal(budget.contributions[source], part), (
                         port, source,
                     )

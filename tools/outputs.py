@@ -9,8 +9,10 @@ two at a time, from the scratch directory
 trees.  The matrix, at 16 x 2^16 samples and seed 3:
 
 - ``theory``, ``budget`` and ``synth``, plain and ``--vacuum-only``;
-- ``estimate`` with ``meter``, with ``meter,meter_squared`` and on the
-  vacuum-only dataset;
+- ``theory`` and ``budget`` with ``thermal_force_scaling = frequency``,
+  whose xi PSD varies over the grid;
+- ``estimate`` with ``meter``, with ``meter,meter_squared``, with the
+  ``hann`` window and on the vacuum-only dataset;
 - ``fit`` at 6 multistarts with the default ``free_params`` and each other
   non-empty subset;
 - a stress config (``continuous``, spikes, nonlinearity, selection limits
@@ -87,6 +89,8 @@ CONFIGS = {
     "stress.cfg": STRESS,
     # the largest double below 1
     "confidence.cfg": BASE + "\n[estimate]\nconfidence = 0.9999999999999999\n",
+    "xi-frequency.cfg": BASE + "\n[system]\nthermal_force_scaling = frequency\n",
+    "hann.cfg": BASE + "\n[estimate]\nwindow = hann\n",
     **{f"{_fit_name(s)}.cfg": f"{BASE}free_params = {s}\n" for s in FIT_SUBSETS},
 }
 
@@ -114,12 +118,17 @@ STAGES = [
             for command in ("theory", "budget", "synth")
             for suffix, flags in (("", ()), ("-vacuum", ("--vacuum-only",)))
         ),
+        *(
+            (f"{command}-xi-frequency", _cli(command, "--config", "xi-frequency.cfg"))
+            for command in ("theory", "budget")
+        ),
         ("synth-stress", _cli("synth", "--config", "stress.cfg")),
     ],
     [
         ("estimate-meter", _cli("estimate", "synth/dataset.qnd", "--config", "base.cfg")),
         ("estimate-meter-squared", _cli("estimate", "synth/dataset.qnd", "--config",
                                         "base.cfg", "--channels", "meter,meter_squared")),
+        ("estimate-hann", _cli("estimate", "synth/dataset.qnd", "--config", "hann.cfg")),
         ("estimate-vacuum", _cli("estimate", "synth-vacuum/dataset.qnd", "--config",
                                  "base.cfg")),
         ("fit", _cli("fit", "synth/dataset.qnd", "--config", "base.cfg")),
