@@ -1,7 +1,7 @@
 """End-to-end pipeline on a modest synthetic dataset.
 
 Synthesizes time-domain data at the default working point, runs segment
-selection, the split-sample prediction residual, shot-noise calibration,
+selection, the leave-one-out prediction residual, shot-noise calibration,
 electronic-noise subtraction, and 150 Hz band averaging, then reports how
 far below the shot-noise level (SQL = 1) the residual dips.
 

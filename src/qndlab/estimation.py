@@ -1,21 +1,14 @@
 """Segment statistics: selection, transforms, unbiased residual estimation.
 
-The residual estimators use an odd/even split of the segment list: the
-prediction weights alpha(omega) are computed on one half and the residual
-spectrum is evaluated on the other, then the roles are swapped and the
-two results averaged.  This makes the estimate conservative, with
-expectation at or above the true optimal residual.  The halves are equal:
-with an odd number of kept segments the last one is left out of the
-residual (``n_averages`` is the even count used), while power spectra of
-the same segment set average all of them.
-
-For complex-Gaussian DFTs, weights fitted on one half of N segments
-(N = ``n_averages``) and evaluated on the other give an expected residual
-of S_opt * N / (N - 2k) for k predictors, by the complex Wishart mean
-(Goodman, Ann. Math. Stat. 34, 152 (1963)): N / (N - 2) for
-``residual_single`` and N / (N - 4) for ``residual_two_channel``.
-Acceptance criteria 5 and 6 use 1 + 2/N, its large-N form for k = 1, with
-N = ``n_kept``.
+The residual estimators fit the prediction weights alpha(omega) once per
+bin on all N kept segments and score each segment by its leave-one-out
+residual e / (1 - h), from the in-sample residual e and the segment's
+leverage h (the PRESS identity; Allen, Technometrics 16, 125 (1974)).  That
+equals refitting without the segment, so the estimate is conservative,
+with expectation at or above the true optimal residual.  For
+complex-Gaussian DFTs it is S_opt * (N - 1) / (N - 1 - k) for k
+predictors, by the complex Wishart mean (Goodman, Ann. Math. Stat. 34, 152
+(1963)): ``expected_residual_factor``.
 """
 
 from __future__ import annotations
@@ -101,7 +94,8 @@ class SpectrumEstimate:
 class ResidualEstimate(SpectrumEstimate):
     """Spectrum estimate of the prediction residual.
 
-    Keeps the two half-set estimates for the split-consistency
+    ``half_values`` and ``half_stderr`` average the leave-one-out residuals
+    of the odd and of the even segments apart, for the split-consistency
     diagnostic.  Finite-sample values are not bounded by the auto-spectrum
     pointwise; only the expectation is.
     """
@@ -267,24 +261,23 @@ def power_spectrum(seg: SegmentSet, channel: str) -> SpectrumEstimate:
     return SpectrumEstimate(seg.frequencies, values, stderr, f.shape[0])
 
 
-def _halves(n: int):
-    # "odd" = segments 1, 3, ... in 1-based order
-    idx = np.arange(n - (n % 2))
-    return idx[::2], idx[1::2]
-
-
 # two predictors are (nearly) linearly dependent where their 2x2
 # determinant falls below _DET_FLOOR of s11*s22
 _DET_FLOOR = 1e-10
 
 
 def _weights(x, preds):
-    """Per-bin least-squares weights of x on one or two predictor DFTs."""
-    power = [np.sum(np.abs(y) ** 2, axis=0) for y in preds]
+    """Per-bin least-squares weights of x on one or two predictor DFTs.
+
+    Returns (weights, leverage): each segment's h = y^H G^-1 y per bin, G the
+    predictors' Gram matrix over the segments.
+    """
+    sq = [np.abs(y) ** 2 for y in preds]
+    power = [np.sum(p, axis=0) for p in sq]
     if any(np.any(s == 0) for s in power):
         raise StatisticsError("predictor channel has zero power")
     if len(preds) == 1:
-        return (np.sum(x * np.conj(preds[0]), axis=0) / power[0],)
+        return (np.sum(x * np.conj(preds[0]), axis=0) / power[0],), sq[0] / power[0]
     (y1, y2), (s11, s22) = preds, power
     s12 = np.sum(y1 * np.conj(y2), axis=0)
     det = s11 * s22 - np.abs(s12) ** 2
@@ -292,45 +285,36 @@ def _weights(x, preds):
         raise StatisticsError("predictor channels are (nearly) linearly dependent")
     b1 = np.sum(x * np.conj(y1), axis=0)
     b2 = np.sum(x * np.conj(y2), axis=0)
-    return ((b1 * s22 - b2 * np.conj(s12)) / det, (b2 * s11 - b1 * s12) / det)
+    h = (sq[0] * s22 + sq[1] * s11 - 2.0 * np.real(s12 * np.conj(y1) * y2)) / det
+    return ((b1 * s22 - b2 * np.conj(s12)) / det, (b2 * s11 - b1 * s12) / det), h
 
 
-def _residual_eval(x, preds, alphas, length):
-    r = x.copy()
-    for y, a in zip(preds, alphas):
-        r -= a[None, :] * y
-    return np.abs(r) ** 2 / length
-
-
-def _split_residual(seg, x_channel, *predictors):
-    """Residual of x_channel after prediction from the predictor channels."""
+def _loo_residual(seg, x_channel, *predictors):
+    """Leave-one-out residual of x_channel after prediction from the predictors."""
     x, *preds = _dfts(seg, x_channel, *predictors)
     n = x.shape[0]
     if n < 4:
-        raise StatisticsError(f"need >= 4 segments for the split estimator, have {n}")
-    odd, even = _halves(n)
-    length = seg.segment_length
-    alpha_odd = _weights(x[odd], [p[odd] for p in preds])
-    alpha_even = _weights(x[even], [p[even] for p in preds])
-    # evaluate each alpha on the opposite half
-    s_even = _residual_eval(x[even], [p[even] for p in preds], alpha_odd, length)
-    s_odd = _residual_eval(x[odd], [p[odd] for p in preds], alpha_even, length)
-    half_values, half_stderr = zip(_average(s_odd), _average(s_even))
+        raise StatisticsError(f"need >= 4 segments for the residual estimator, have {n}")
+    alphas, h = _weights(x, preds)
+    e = x - sum(a * y for a, y in zip(alphas, preds))
+    s = np.abs(e / (1.0 - h)) ** 2 / seg.segment_length
+    half_values, half_stderr = zip(_average(s[::2]), _average(s[1::2]))
     return ResidualEstimate(
-        seg.frequencies, *_average(np.concatenate([s_odd, s_even])), 2 * len(odd),
+        seg.frequencies, *_average(s), n,
         half_values=half_values, half_stderr=half_stderr,
     )
+
+
+def expected_residual_factor(n: int, k: int) -> float:
+    """E[residual] / S_opt of the leave-one-out fit of k predictors on n segments."""
+    return (n - 1) / (n - 1 - k)
 
 
 def residual_single(
     seg: SegmentSet, x_channel: str = "sum", y_channel: str = "meter"
 ) -> ResidualEstimate:
-    """Split-sample residual of x after optimal linear prediction from y.
-
-    With an odd number of kept segments the last one is left out, so
-    ``n_averages`` is ``n_kept - n_kept % 2``.
-    """
-    return _split_residual(seg, x_channel, y_channel)
+    """Leave-one-out residual of x after optimal linear prediction from y."""
+    return _loo_residual(seg, x_channel, y_channel)
 
 
 def residual_two_channel(
@@ -339,13 +323,8 @@ def residual_two_channel(
     y1_channel: str = "meter",
     y2_channel: str = "meter_squared",
 ) -> ResidualEstimate:
-    """Split-sample residual with two predictor channels.
-
-    Solves the 2x2 cross-spectral system per frequency bin on each half.
-    With an odd number of kept segments the last one is left out, so
-    ``n_averages`` is ``n_kept - n_kept % 2``.
-    """
-    return _split_residual(seg, x_channel, y1_channel, y2_channel)
+    """Leave-one-out residual with two predictors, a 2x2 system per bin."""
+    return _loo_residual(seg, x_channel, y1_channel, y2_channel)
 
 
 def msc_estimate(

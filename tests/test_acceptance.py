@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qndlab as q
-from qndlab import fitting, theory
+from qndlab import estimation, fitting, theory
 
 TWO_PI = 2.0 * np.pi
 
@@ -221,7 +221,8 @@ def test_criterion_5_end_to_end(system, main_run):
     raw_f = p.res_raw.frequencies
     model = theory.SpectrumModel(system, TWO_PI * raw_f)
     s_xs, _, _, _, res_th = model.residual_spectra()
-    th_b = _band_avg_theory(raw_f, res_th * (1.0 + 2.0 / p.n)).values[::step]
+    res_th = res_th * estimation.expected_residual_factor(p.n, 1)
+    th_b = _band_avg_theory(raw_f, res_th).values[::step]
     peak_dense = banded.frequencies[
         int(np.argmax(_band_avg_theory(raw_f, s_xs).values))]
     hi = [(a, b) for a, b in _lobes(th_b < 1.0, f) if f[a] > peak_dense]
@@ -255,7 +256,8 @@ def test_criterion_6_squeezing(squeeze_system, squeeze_run, system, main_run):
     raw5 = main_run.res_raw.frequencies
     model5 = theory.SpectrumModel(system, TWO_PI * raw5)
     s5, _, _, _, res5 = model5.residual_spectra()
-    th5 = _band_avg_theory(raw5, res5 * (1.0 + 2.0 / main_run.n))
+    res5 = res5 * estimation.expected_residual_factor(main_run.n, 1)
+    th5 = _band_avg_theory(raw5, res5)
     peak5 = f5[int(np.argmax(_band_avg_theory(raw5, s5).values))]
     hi5 = [(a, b) for a, b in _lobes(th5.values < 1.0, f5) if f5[a] > peak5][0]
     lo5, hi5v = f5[hi5[0]], f5[hi5[1]]

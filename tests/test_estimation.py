@@ -1,4 +1,4 @@
-"""Statistics engine: selection, transforms, split-sample residual
+"""Statistics engine: selection, transforms, leave-one-out residual
 estimators, coherence, calibration, subtraction, banding, diagnostics."""
 
 import csv
@@ -278,7 +278,7 @@ class TestResidualSingle:
         assert np.max(res.values) < 1e-20
 
     def test_independent_channel_conservative_bias(self):
-        # y carries no information: E[residual] = S_XX (1 + 2/N)
+        # y carries no information: E[residual] = S_XX (N - 1) / (N - 2)
         vals, svals = [], []
         for seed in range(40):
             seg = _white_segments(n_segments=16, length=2**9, seed=100 + seed)
@@ -286,7 +286,7 @@ class TestResidualSingle:
             vals.append(res.values[1:].mean())
             svals.append(q.power_spectrum(seg, "sum").values[1:].mean())
         ratio = np.mean(vals) / np.mean(svals)
-        assert ratio == pytest.approx(1.0 + 2.0 / 16.0, abs=0.04)
+        assert ratio == pytest.approx(15.0 / 14.0, abs=0.04)
 
     def test_additive_noise_floor(self):
         noise = 0.3
@@ -304,17 +304,37 @@ class TestResidualSingle:
             q.residual_single(seg3, "sum", "meter")
 
     @pytest.mark.parametrize("n_segments", [11, 12])
-    def test_odd_count_leaves_last_segment_out(self, n_segments):
+    def test_every_kept_segment_averaged(self, n_segments):
         seg = _toy_segments(n_segments, 2**9, 6)
         assert seg.n_kept == n_segments
         assert q.power_spectrum(seg, "sum").n_averages == n_segments
         for res in (q.residual_single(seg), q.residual_two_channel(seg)):
-            assert res.n_averages == n_segments - n_segments % 2
+            assert res.n_averages == seg.n_kept
+
+    @pytest.mark.parametrize("predictors", [("meter",), ("meter", "difference")],
+                             ids=["k1", "k2"])
+    def test_leave_one_out_matches_refit(self, predictors):
+        # PRESS: e / (1 - h) is the residual of a fit without the segment
+        seg = _toy_segments(11, 2**7, 6)
+        x = seg.dfts["sum"]
+        ys = np.stack([seg.dfts[c] for c in predictors], axis=-1)
+        n = len(x)
+        refit = np.empty(x.shape)
+        for i in range(n):
+            rest = np.arange(n) != i
+            for b in range(x.shape[1]):
+                alpha = np.linalg.lstsq(ys[rest, b], x[rest, b], rcond=None)[0]
+                refit[i, b] = abs(x[i, b] - ys[i, b] @ alpha) ** 2
+        residual = q.residual_single if len(predictors) == 1 else q.residual_two_channel
+        res = residual(seg, "sum", *predictors)
+        np.testing.assert_allclose(res.values, refit.mean(axis=0) / seg.segment_length,
+                                   rtol=1e-12)
 
     def test_exchange_symmetry(self):
         seg = _toy_segments(16, 2**9, 3)
         res = q.residual_single(seg, "sum", "meter")
-        # swap the odd and even half-sets by interleaving pairs
+        # swap the odd and even half-sets by interleaving pairs: the order
+        # of the segments moves only the diagnostic's halves
         order = np.arange(16).reshape(-1, 2)[:, ::-1].ravel()
         swapped = dataclasses.replace(
             seg, dfts={k: v[order] for k, v in seg.dfts.items()}

@@ -13,6 +13,7 @@ trees.  The matrix, at 16 x 2^16 samples and seed 3:
   whose xi PSD varies over the grid;
 - ``estimate`` with ``meter``, with ``meter,meter_squared``, with the
   ``hann`` window and on the vacuum-only dataset;
+- ``synth`` and ``estimate`` at an odd count of 15 segments;
 - ``fit`` at 6 multistarts with the default ``free_params`` and each other
   non-empty subset;
 - a stress config (``continuous``, spikes, nonlinearity, selection limits
@@ -91,6 +92,7 @@ CONFIGS = {
     "confidence.cfg": BASE + "\n[estimate]\nconfidence = 0.9999999999999999\n",
     "xi-frequency.cfg": BASE + "\n[system]\nthermal_force_scaling = frequency\n",
     "hann.cfg": BASE + "\n[estimate]\nwindow = hann\n",
+    "odd.cfg": BASE.replace("n_segments = 16\n", "n_segments = 15\n"),
     **{f"{_fit_name(s)}.cfg": f"{BASE}free_params = {s}\n" for s in FIT_SUBSETS},
 }
 
@@ -123,6 +125,7 @@ STAGES = [
             for command in ("theory", "budget")
         ),
         ("synth-stress", _cli("synth", "--config", "stress.cfg")),
+        ("synth-odd", _cli("synth", "--config", "odd.cfg")),
     ],
     [
         ("estimate-meter", _cli("estimate", "synth/dataset.qnd", "--config", "base.cfg")),
@@ -131,6 +134,7 @@ STAGES = [
         ("estimate-hann", _cli("estimate", "synth/dataset.qnd", "--config", "hann.cfg")),
         ("estimate-vacuum", _cli("estimate", "synth-vacuum/dataset.qnd", "--config",
                                  "base.cfg")),
+        ("estimate-odd", _cli("estimate", "synth-odd/dataset.qnd", "--config", "odd.cfg")),
         ("fit", _cli("fit", "synth/dataset.qnd", "--config", "base.cfg")),
         *(
             (_fit_name(s), _cli("fit", "synth/dataset.qnd", "--config",
