@@ -23,10 +23,6 @@ from .params import (
 
 # Relative floor on the susceptibility bracket before declaring instability.
 _DIVERGENCE_FLOOR = 1e-30
-# The bare-detuning fixed-point iteration of ``steady_state`` stops once a
-# step moves the position by at most _RTOL of it, or gives up after _MAX_ITER.
-_MAX_ITER = 10_000
-_RTOL = 1e-12
 
 VACUUM_CHANNELS = ("a1", "a2", "a3", "a4", "a5")
 CLASSICAL_CHANNELS = ("eps", "zeta", "xi")
@@ -71,10 +67,15 @@ def steady_state(
 ) -> CouplingState:
     """Stationary solution of the driven cavity.
 
-    With the effective detuning given, alpha_s = E0/(kappa - i*Delta) is
-    exact.  With only the bare detuning, the radiation-pressure shifted
-    position is found by damped fixed-point iteration; failure to settle
-    signals a multistable regime and raises ModelError.
+    With the effective detuning Delta given, alpha_s = E0/(kappa - i*Delta)
+    is exact.  With only the bare detuning Delta0, the radiation-pressure
+    shift y = Delta - Delta0 = G0*q_s solves
+    y*(kappa^2 + (Delta0 + y)^2) = G0^2*E0^2/omega_m (Dorsel et al., PRL 51,
+    1550 (1983)).  In x = y/kappa and a = Delta0/kappa that is the cubic
+    x^3 + 2a*x^2 + (1 + a^2)*x - p = 0, p = G0^2*E0^2/(omega_m*kappa^3);
+    its discriminant -4a(9 + a^2)p - 4(1 + a^2)^2 - 27p^2 is negative
+    where the cubic has one real root, the one steady state.  A drive whose
+    discriminant is not negative is bistable and raises ModelError.
     """
     g0 = single_photon_coupling(mech, cavity)
     e0 = drive.e0(cavity)
@@ -82,28 +83,20 @@ def steady_state(
 
     if cavity.detuning is not None:
         delta = cavity.detuning
-        alpha_s = e0 / (kappa - 1j * delta)
-        q_s = (g0 / mech.omega_m) * abs(alpha_s) ** 2
     elif cavity.detuning0 is not None:
-        delta0 = cavity.detuning0
-        q_s = 0.0
-        damping = 0.5
-        for _ in range(_MAX_ITER):
-            delta = delta0 + g0 * q_s
-            alpha_s = e0 / (kappa - 1j * delta)
-            q_new = (g0 / mech.omega_m) * abs(alpha_s) ** 2
-            if abs(q_new - q_s) <= _RTOL * max(abs(q_new), 1e-300):
-                q_s = q_new
-                break
-            q_s = (1.0 - damping) * q_s + damping * q_new
-        else:
+        a = cavity.detuning0 / kappa
+        p = g0**2 * e0**2 / (mech.omega_m * kappa**3)
+        if -4.0 * a * (9.0 + a * a) * p - 4.0 * (1.0 + a * a) ** 2 - 27.0 * p * p >= 0:
             raise ModelError(
-                "steady state did not settle; likely bistable regime"
+                f"bistable drive: {drive.power:.6g} W mode-matched at bare "
+                f"detuning {a:.6g} kappa has more than one steady state"
             )
-        delta = delta0 + g0 * q_s
-        alpha_s = e0 / (kappa - 1j * delta)
+        roots = np.roots([1.0, 2.0 * a, 1.0 + a * a, -p])
+        delta = cavity.detuning0 + kappa * roots[np.argmin(np.abs(roots.imag))].real
     else:
         raise ModelError("either detuning or detuning0 must be set")
+    alpha_s = e0 / (kappa - 1j * delta)
+    q_s = (g0 / mech.omega_m) * abs(alpha_s) ** 2
 
     g = g0 * np.sqrt(2.0) * alpha_s
     return CouplingState(g0=g0, g=g, alpha_s=alpha_s, q_s=q_s, detuning=delta)
@@ -186,6 +179,13 @@ def mean_reflected_field(
     return amp * (kappa - 2.0 * kappa2 + 1j * delta) / (kappa - 1j * delta)
 
 
+def _root_arm_ratio(det: DetectionParams) -> float:
+    """sqrt(R), R the cavity/reference arm power ratio; inf for a dark reference arm."""
+    if det.p_reference_arm == 0:
+        return np.inf
+    return np.sqrt(det.p_cavity_arm / det.p_reference_arm)
+
+
 def quadrature_phases(
     state: CouplingState, cavity: CavityParams, det: DetectionParams
 ) -> tuple[float, float, float]:
@@ -193,39 +193,25 @@ def quadrature_phases(
 
     phi_r is the dephasing of the reflected mean field, phi_m = phi_r + pi/2
     the meter quadrature, and phi_s the amplitude quadrature of the
-    polarizer output, offset from phi_r by the reference-arm admixture.
+    polarizer output, where the cavity arm beats with the reference arm:
+    phi_r - phi_s = arg(sqrt(R) + exp(i phi0)), R the cavity/reference arm
+    power ratio.  A dark reference arm (R = inf) gives phi_s = phi_r.
     """
     delta = state.detuning
     kappa, kappa2 = cavity.kappa, cavity.kappa2
     phi_r = np.arctan2(delta, kappa - 2.0 * kappa2) + np.arctan2(delta, kappa)
     phi_m = phi_r + np.pi / 2.0
-    ratio = det.p_cavity_arm / det.p_reference_arm if det.p_reference_arm > 0 else np.inf
-    if np.isinf(ratio):
-        offset = 0.0
-    else:
-        arg = np.sin(det.phi0) / np.sqrt(
-            1.0 + ratio + 2.0 * np.sqrt(ratio) * np.cos(det.phi0)
-        )
-        if abs(arg) > 1.0:
-            if abs(arg) - 1.0 > 1e-12:
-                raise ModelError("arcsin argument outside [-1, 1]")
-            arg = np.clip(arg, -1.0, 1.0)
-        offset = np.arcsin(arg)
-    phi_s = phi_r - offset
+    phi_s = phi_r - np.angle(_root_arm_ratio(det) + np.exp(1j * det.phi0))
     return float(phi_r), float(phi_m), float(phi_s)
 
 
 def signal_phase_tuning_range(det: DetectionParams) -> float:
     """Maximum |phi_s - phi_r| reachable with a lock phase phi0 in (-pi/2, pi/2).
 
-    phi_r - phi_s = arg(sqrt(R) + exp(i phi0)), R the cavity/reference arm
-    power ratio, is monotone in phi0 there and tends to +-arctan(1/sqrt(R))
-    at its ends.
+    phi_r - phi_s = arg(sqrt(R) + exp(i phi0)) is monotone in phi0 there and
+    tends to +-arctan(1/sqrt(R)) at its ends; 0 for a dark reference arm.
     """
-    if det.p_reference_arm == 0:
-        return 0.0
-    root_ratio = np.sqrt(det.p_cavity_arm / det.p_reference_arm)
-    return float(np.arctan2(1.0, root_ratio))
+    return float(np.arctan2(1.0, _root_arm_ratio(det)))
 
 
 def lock_phase_for_signal_phase(
@@ -242,13 +228,12 @@ def lock_phase_for_signal_phase(
             f"target signal phase {phi_s_target:.4f} rad outside the "
             f"tuning range {phi_r:.4f} +/- {span:.4f} rad"
         )
-    if det.p_reference_arm == 0:
+    root_ratio = _root_arm_ratio(det)
+    if np.isinf(root_ratio):
         return 0.0  # every lock phase gives phi_r
-    # phi_r - phi_s = arg(sqrt(R) + exp(i phi0)), R the cavity/reference arm
-    # power ratio, so sqrt(R) + exp(i phi0) = t exp(i o) for o = phi_r - phi_s,
-    # t the larger root of |t exp(i o) - sqrt(R)| = 1; within the tuning
-    # range it puts phi0 in (-pi/2, pi/2)
-    root_ratio = np.sqrt(det.p_cavity_arm / det.p_reference_arm)
+    # sqrt(R) + exp(i phi0) = t exp(i o) for o = phi_r - phi_s, t the larger
+    # root of |t exp(i o) - sqrt(R)| = 1; within the tuning range it puts
+    # phi0 in (-pi/2, pi/2)
     o = phi_r - phi_s_target
     t = root_ratio * np.cos(o) + np.sqrt(1.0 - (root_ratio * np.sin(o)) ** 2)
     return float(np.angle(t * np.exp(1j * o) - root_ratio))

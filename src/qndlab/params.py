@@ -93,6 +93,8 @@ class ZetaModel:
     def __post_init__(self):
         if self.background < 0 or any(a < 0 for _, _, a in self.peaks):
             raise ConfigError("zeta model amplitudes must be non-negative")
+        if any(w <= 0 for _, w, _ in self.peaks):
+            raise ConfigError("zeta peak widths must be positive")
 
     @staticmethod
     def _tail_denominator(omega):
@@ -171,6 +173,8 @@ class DetectionParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
+        if self.p_cavity_arm < 0 or self.p_reference_arm < 0:
+            raise ConfigError("interferometer arm powers must be non-negative")
         if self.p_cavity_arm + self.p_reference_arm <= 0:
             raise ConfigError("total interferometer power must be positive")
 

@@ -461,8 +461,10 @@ class TestCliErrorFamilies:
         ("synth", "[synth]\nn_segments = abc\n", "not an integer"),
         ("synth", "[synth]\ncontinuous = maybe\n", "not a boolean"),
         ("theory", "[zeta]\npeaks = 1:2\n", "expected center:width:amplitude"),
+        ("theory", "[zeta]\npeaks = 170e3:0:120\n",
+         "zeta peak widths must be positive"),
         ("theory", "n_segments = 4\n", "cannot parse config"),
-    ], ids=["integer", "boolean", "peaks", "no-section"])
+    ], ids=["integer", "boolean", "peaks", "peak-width-0", "no-section"])
     def test_bad_config_value_exit_2(self, tmp_path, capsys, command, text, match):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

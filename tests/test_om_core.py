@@ -19,6 +19,18 @@ def _state(system):
     return q.steady_state(system.mech, system.cavity, system.effective_drive())
 
 
+def _bare_state(system, mode_matched_power, detuning0_kappa):
+    """Steady state at a bare detuning, in kappa, and a mode-matched power."""
+    cavity = dataclasses.replace(
+        system.cavity, detuning=None, detuning0=detuning0_kappa * system.cavity.kappa
+    )
+    drive = dataclasses.replace(
+        system.drive, power=mode_matched_power / system.det.eta_modematch
+    )
+    s = dataclasses.replace(system, cavity=cavity, drive=drive)
+    return q.steady_state(s.mech, s.cavity, s.effective_drive()), s
+
+
 class TestMechSusceptibility:
     mech = q.MechanicalParams(omega_m=1.0, gamma_m=0.005, mass=1.0, temperature=0.0)
 
@@ -84,10 +96,44 @@ class TestSteadyState:
             system.cavity, detuning=None, detuning0=st.detuning - st.g0 * st.q_s
         )
         st2 = q.steady_state(system.mech, cavity0, system.effective_drive())
-        # the detuning is a small difference of the large spring shift,
-        # so the round trip keeps fewer digits than the iteration rtol
+        # G0 reads the cavity frequency omega_laser - detuning0, which the
+        # state at the effective detuning takes as omega_laser: G0 moves by
+        # 6e-9 and the 1e7 rad/s spring shift by 0.12 rad/s, 4e-7 of the
+        # detuning, so the round trip keeps fewer digits than the cubic's root
         assert st2.detuning == pytest.approx(st.detuning, rel=1e-6)
         assert abs(st2.alpha_s) == pytest.approx(abs(st.alpha_s), rel=1e-9)
+
+    def test_bistable_drive_raises(self, system):
+        # incident 0.333 W: the cubic has three real roots at -3 kappa
+        with pytest.raises(ModelError, match="bistable drive"):
+            _bare_state(system, 0.3, -3.0)
+
+    @pytest.mark.parametrize(
+        "detuning0_kappa, detuning_kappa", [(-2.0, 1.8315), (-3.0, 1.6167)]
+    )
+    def test_one_steady_state_past_the_bistable_region(
+        self, system, detuning0_kappa, detuning_kappa
+    ):
+        # incident 1.111 W: one steady state, shifted past resonance
+        st, s = _bare_state(system, 1.0, detuning0_kappa)
+        kappa = s.cavity.kappa
+        assert st.detuning / kappa == pytest.approx(detuning_kappa, abs=1e-4)
+        x, a = (st.detuning - s.cavity.detuning0) / kappa, detuning0_kappa
+        p = (st.g0 * s.effective_drive().e0(s.cavity)) ** 2 / (
+            s.mech.omega_m * kappa**3
+        )
+        terms = (x**3, 2.0 * a * x**2, (1.0 + a * a) * x, -p)
+        assert abs(sum(terms)) <= 1e-12 * max(abs(t) for t in terms)
+        # the effective detuning fed back gives the same intracavity field
+        fed = dataclasses.replace(s.cavity, detuning=st.detuning)
+        st2 = q.steady_state(s.mech, fed, s.effective_drive())
+        assert abs(st2.alpha_s) == pytest.approx(abs(st.alpha_s), rel=1e-12)
+
+    @pytest.mark.parametrize("detuning0_kappa", [-3.0, 0.0, 0.7])
+    def test_zero_drive_no_shift(self, system, detuning0_kappa):
+        st, s = _bare_state(system, 0.0, detuning0_kappa)
+        assert st.detuning == s.cavity.detuning0
+        assert st.q_s == 0.0
 
     def test_thermal_occupancy_formula(self):
         omega, t_k = TWO_PI * 169334.0, 5.6
@@ -311,6 +357,24 @@ class TestQuadraturePhases:
         det = dataclasses.replace(system.det, p_reference_arm=1e-30, phi0=0.3)
         phi_r, _, phi_s = q.quadrature_phases(st, system.cavity, det)
         assert phi_s == pytest.approx(phi_r, abs=1e-10)
+
+    @pytest.mark.parametrize("arms", [(1.0, 4.0), None], ids=["R=0.25", "reference"])
+    def test_signal_phase_is_the_lock_phasor(self, system, arms):
+        # phi_r - phi_s = arg(sqrt(R) + exp(i phi0)) in every quadrant
+        st = _state(system)
+        det = system.det
+        if arms is not None:
+            cavity_arm, reference_arm = arms
+            det = dataclasses.replace(
+                det, p_cavity_arm=cavity_arm, p_reference_arm=reference_arm
+            )
+        root_ratio = np.sqrt(det.p_cavity_arm / det.p_reference_arm)
+        for phi0 in np.linspace(-2.5, 2.5, 11):
+            trial = dataclasses.replace(det, phi0=phi0)
+            phi_r, _, phi_s = q.quadrature_phases(st, system.cavity, trial)
+            assert phi_r - phi_s == pytest.approx(
+                np.angle(root_ratio + np.exp(1j * phi0)), abs=1e-14
+            )
 
     def test_tuning_range_and_target(self, system):
         st = _state(system)

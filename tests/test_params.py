@@ -43,6 +43,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             q.ZetaModel(peaks=((1e5, 1e3, -1.0),))
 
+    @pytest.mark.parametrize("arm", ["p_cavity_arm", "p_reference_arm"])
+    def test_arm_powers_nonnegative(self, arm):
+        with pytest.raises(ConfigError, match="arm powers must be non-negative"):
+            q.DetectionParams(eta_meter=0.5, eta_signal=0.5, eta_modematch=0.5,
+                              **{arm: -1e-6})
+
 
 class TestDerivedQuantities:
     def test_kappa_sum(self, system):

@@ -22,6 +22,11 @@ trees.  The matrix, at 16 x 2^16 samples and seed 3:
   and ``estimate`` and ``fit`` on a dataset whose difference channel is
   zero, so that the shot-noise calibration gives no positive SQL.
 
+One more invocation, ``model-probe``, runs no command: it prints, as
+``repr`` values, library model quantities that no config key reaches.
+These are the bare-detuning steady states and the lock-phase offset
+phi_r - phi_s over lock phases and arm power ratios.
+
 It writes ``DIR/outputs.json``: per invocation the exit code and the
 SHA-256 of stdout, stderr and every output file.  The files stay in
 ``DIR/work/<invocation>/``, the streams in ``DIR/streams/``.
@@ -106,6 +111,48 @@ ds = dataclasses.replace(ds, difference=np.zeros_like(ds.difference))
 write_dataset(ds, sys.argv[2])
 """
 
+# prints the steady states of om_core.steady_state's bare-detuning branch
+# (mode-matched 0.3 W at -3 kappa is bistable, 1 W at -2 and -3 kappa has
+# one steady state) and at the reference point, and phi_r - phi_s at lock
+# phases phi0 for arm power ratios 0.25, the reference and a dark
+# reference arm
+MODEL_PROBE = """
+import dataclasses
+import qndlab as q
+from qndlab.errors import ModelError
+s = q.reference_defaults()
+st = q.steady_state(s.mech, s.cavity, s.effective_drive())
+
+def probe(label, f, *args):
+    try:
+        print(label, repr(f(*args)))
+    except ModelError as exc:
+        print(label, "ModelError:", exc)
+
+def bare(power, detuning0):
+    cavity = dataclasses.replace(s.cavity, detuning=None, detuning0=detuning0)
+    drive = dataclasses.replace(s.drive, power=power)
+    r = q.steady_state(s.mech, cavity, drive)
+    return float(r.detuning), float(abs(r.alpha_s))
+
+def offset(det, phi0):
+    trial = dataclasses.replace(det, phi0=phi0)
+    phi_r, _, phi_s = q.quadrature_phases(st, s.cavity, trial)
+    return phi_r - phi_s
+
+for power, a in ((0.3, -3.0), (1.0, -2.0), (1.0, -3.0)):
+    probe(f"steady state {power} W at {a} kappa:", bare, power, a * s.cavity.kappa)
+probe("steady state reference:", bare, s.effective_drive().power,
+      st.detuning - st.g0 * st.q_s)
+for name, det in (
+    ("R 0.25", dataclasses.replace(s.det, p_cavity_arm=1.0, p_reference_arm=4.0)),
+    ("R reference", s.det),
+    ("dark reference arm", dataclasses.replace(s.det, p_reference_arm=0.0)),
+):
+    for phi0 in (-2.5, -0.3, 0.0, 0.3, 2.5):
+        probe(f"phi_r - phi_s, {name}, phi0 {phi0}:", offset, det, phi0)
+"""
+
 
 def _cli(*argv):
     return ["-m", "qndlab.cli", *argv]
@@ -126,6 +173,7 @@ STAGES = [
         ),
         ("synth-stress", _cli("synth", "--config", "stress.cfg")),
         ("synth-odd", _cli("synth", "--config", "odd.cfg")),
+        ("model-probe", ["-c", MODEL_PROBE]),
     ],
     [
         ("estimate-meter", _cli("estimate", "synth/dataset.qnd", "--config", "base.cfg")),
